@@ -59,51 +59,3 @@ from .surfaces import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Dual",
-    "HyperDual",
-    "gradient",
-    "hessian",
-    "ScalarField",
-    "ExpressionTree",
-    "ParseError",
-    "determinant_field",
-    "quadric_field",
-    "sphere_field",
-    "parse_expression",
-    "expression_field",
-    "evaluate",
-    "EigenSpectrum",
-    "SingularMatrixError",
-    "NonSymmetricMatrixError",
-    "JacobiConvergenceError",
-    "det_inverse",
-    "determinant",
-    "frobenius_norm",
-    "complement_basis",
-    "jacobi_eigh",
-    "cluster_multiplicities",
-    "ImplicitHypersurface",
-    "CurvatureReport",
-    "OffSurfaceError",
-    "CriticalPointError",
-    "NonTangentVectorError",
-    "unit_normal",
-    "weingarten_matrix",
-    "weingarten_apply",
-    "second_fundamental_form",
-    "curvature_report",
-    "fd_hessian_oracle",
-    "SLCurvatureSummary",
-    "curvature_summary",
-    "fundamental_forms",
-    "gauss_map",
-    "gauss_map_preimage",
-    "principal_curvatures_identity",
-    "random_sl",
-    "random_special_orthogonal",
-    "spherical_image_contains",
-    "sym_skew_decompose",
-    "weingarten_identity",
-]

@@ -35,7 +35,6 @@ from .surfaces import (
     ImplicitHypersurface,
     OffSurfaceError,
     curvature_report,
-    weingarten_apply,
 )
 
 
@@ -85,16 +84,19 @@ def run_verify_sl(n: int, tolerance: float, seed: int) -> tuple[list[dict], Curv
             }
         )
 
-    # shape operator at I against n^{-1/2} H^t, on random trace-zero directions
+    report = curvature_report(surface, identity)
+
+    # shape operator at I against n^{-1/2} H^t, on random trace-zero directions;
+    # T W T^t applied to a tangent v is -(I - N N^t) H v / |grad f|, since T T^t = I - N N^t
+    basis, w = report.tangent_basis, report.weingarten
     worst = 0.0
     for _ in range(25):
         h = _random_trace_zero(n, rng)
-        lv = weingarten_apply(surface, identity, h.ravel())
+        lv = basis @ (w @ (basis.T @ h.ravel()))
         worst = max(worst, float(np.max(np.abs(lv - h.T.ravel() / math.sqrt(n)))))
     add("weingarten_operator_identity", worst)
 
     # spectrum, Gauss-Kronecker, and mean at I against the closed forms
-    report = curvature_report(surface, identity)
     exact = principal_curvatures_identity(n)
     if [m for _, m in report.curvatures] == [m for _, m in exact]:
         spectrum_residual = max(
@@ -134,8 +136,8 @@ def _cmd_verify_sl(args) -> int:
     if not 2 <= args.n <= 5:
         print(f"verify-sl: --n must be in [2, 5], got {args.n}", file=sys.stderr)
         return 2
-    if args.tol <= 0:
-        print("verify-sl: --tol must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"verify-sl: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
         return 2
     checks, report = run_verify_sl(args.n, args.tol, args.seed)
     all_passed = all(c["passed"] for c in checks)
@@ -176,6 +178,8 @@ def _parse_point(text: str) -> np.ndarray:
         raise ParseError(f"point {text!r} is not a comma-separated list of reals", 0)
     if not values:
         raise ParseError("point list is empty", 0)
+    if not all(math.isfinite(v) for v in values):
+        raise ParseError(f"point {text!r} has a non-finite coordinate", 0)
     return np.asarray(values)
 
 
@@ -204,10 +208,10 @@ def _cmd_analyze(args) -> int:
                 return 2
             field = expression_field(args.expr, arity=point.size)
             level = args.level
+        surface = ImplicitHypersurface(field=field, level=level)
     except (ParseError, ValueError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2
-    surface = ImplicitHypersurface(field=field, level=level)
     try:
         report = curvature_report(surface, point)
     except (OffSurfaceError, CriticalPointError, ZeroDivisionError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import det_inverse, determinant, frobenius_norm
+from .linalg import _as_square, det_inverse, determinant, frobenius_norm
 
 UNIMODULAR_TOL = 1e-9
 UNIT_NORM_TOL = 1e-9
@@ -44,13 +44,6 @@ class SLCurvatureSummary:
             "gauss_kronecker": self.gauss_kronecker,
             "mean": self.mean,
         }
-
-
-def _as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
 
 
 def _require_unimodular(a: np.ndarray) -> None:

@@ -11,6 +11,7 @@ curvature their average (trace over N-1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -43,6 +44,13 @@ class ImplicitHypersurface:
     level: float = 0.0
     on_surface_tol: float | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.level) and math.isfinite(self.surface_tol())):
+            raise ValueError(
+                "level and on_surface_tol must be finite, got "
+                f"level={self.level!r}, on_surface_tol={self.on_surface_tol!r}"
+            )
+
     @property
     def ambient_dim(self) -> int:
         return self.field.arity
@@ -53,8 +61,11 @@ class ImplicitHypersurface:
         return 1e-9 * (1.0 + abs(self.level))
 
     def contains(self, p) -> bool:
-        p = np.asarray(p, dtype=float)
-        return abs(float(self.field([float(x) for x in p])) - self.level) <= self.surface_tol()
+        return self._holds_at(float(self.field([float(x) for x in np.asarray(p, dtype=float)])))
+
+    def _holds_at(self, value: float) -> bool:
+        # written as <= so that a NaN field value counts as off the surface
+        return abs(value - self.level) <= self.surface_tol()
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,7 @@ def _checked_gradient(s: ImplicitHypersurface, p) -> tuple[np.ndarray, np.ndarra
     if p.ndim != 1 or p.size != s.ambient_dim:
         raise ValueError(f"point must have {s.ambient_dim} coordinates, got {p.size}")
     value = float(s.field([float(x) for x in p]))
-    if abs(value - s.level) > s.surface_tol():
+    if not s._holds_at(value):
         raise OffSurfaceError(
             f"point is off-surface: field value {value!r} vs level {s.level!r}"
         )
@@ -85,6 +96,24 @@ def _checked_gradient(s: ImplicitHypersurface, p) -> tuple[np.ndarray, np.ndarra
     if gnorm <= CRITICAL_GRADIENT_FLOOR:
         raise CriticalPointError(f"gradient magnitude {gnorm:.3e} below critical floor")
     return p, g, gnorm
+
+
+def _tangent(v, g: np.ndarray, gnorm: float, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != g.shape:
+        raise ValueError("vector dimension does not match the ambient dimension")
+    # written as <= so that a NaN vector counts as not tangent
+    if not abs(float(v @ g)) <= TANGENCY_TOL * float(np.sqrt(v @ v)) * gnorm:
+        raise NonTangentVectorError(f"{what} is not tangent to the surface at p")
+    return v
+
+
+def _local_frame(s: ImplicitHypersurface, p):
+    """One gradient and one Hessian at p: (p, unit normal, W, tangent basis T)."""
+    p, g, gnorm = _checked_gradient(s, p)
+    basis = complement_basis(g)
+    w = -(basis.T @ hessian(s.field, p) @ basis) / gnorm
+    return p, g / gnorm, w, basis
 
 
 def unit_normal(s: ImplicitHypersurface, p) -> np.ndarray:
@@ -99,10 +128,7 @@ def weingarten_matrix(s: ImplicitHypersurface, p) -> tuple[np.ndarray, np.ndarra
     W = -(T^t H T)/|grad f| with T the Householder complement basis of the
     gradient and H the field Hessian, symmetric up to roundoff.
     """
-    p, g, gnorm = _checked_gradient(s, p)
-    basis = complement_basis(g)
-    hess = hessian(s.field, p)
-    w = -(basis.T @ hess @ basis) / gnorm
+    _, _, w, basis = _local_frame(s, p)
     return w, basis
 
 
@@ -111,13 +137,11 @@ def weingarten_apply(s: ImplicitHypersurface, p, v) -> np.ndarray:
 
     Computes -(I - N N^t) H v / |grad f|, which stays in the tangent space.
     """
-    p, g, gnorm = _checked_gradient(s, p)
-    v = np.asarray(v, dtype=float)
-    if v.shape != p.shape:
-        raise ValueError("vector dimension does not match the ambient dimension")
-    vnorm = float(np.sqrt(v @ v))
-    if abs(float(v @ g)) > TANGENCY_TOL * vnorm * gnorm:
-        raise NonTangentVectorError("vector is not tangent to the surface at p")
+    return _apply_at(s, *_checked_gradient(s, p), v)
+
+
+def _apply_at(s: ImplicitHypersurface, p, g, gnorm, v) -> np.ndarray:
+    v = _tangent(v, g, gnorm, "vector")
     normal = g / gnorm
     hv = hessian(s.field, p) @ v
     return -(hv - normal * float(normal @ hv)) / gnorm
@@ -125,23 +149,20 @@ def weingarten_apply(s: ImplicitHypersurface, p, v) -> np.ndarray:
 
 def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
     """Bilinear form <L(v), w> on tangent vectors; symmetric in (v, w)."""
-    w = np.asarray(w, dtype=float)
-    _, g, gnorm = _checked_gradient(s, p)
-    if abs(float(w @ g)) > TANGENCY_TOL * float(np.sqrt(w @ w)) * gnorm:
-        raise NonTangentVectorError("second argument is not tangent to the surface at p")
-    return float(weingarten_apply(s, p, v) @ w)
+    p, g, gnorm = _checked_gradient(s, p)
+    w = _tangent(w, g, gnorm, "second argument")
+    return float(_apply_at(s, p, g, gnorm, v) @ w)
 
 
 def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> CurvatureReport:
     """Normal, tangent basis, shape operator, and all curvatures at p."""
-    p, g, gnorm = _checked_gradient(s, p)
-    w, basis = weingarten_matrix(s, p)
+    p, normal, w, basis = _local_frame(s, p)
     spectrum = jacobi_eigh(w)
     curvatures = cluster_multiplicities(spectrum.values, cluster_tol)
     n_tangent = s.ambient_dim - 1
     return CurvatureReport(
         point=p,
-        normal=g / gnorm,
+        normal=normal,
         tangent_basis=basis,
         weingarten=w,
         curvatures=curvatures,

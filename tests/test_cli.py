@@ -32,7 +32,8 @@ class TestVerifySL:
         assert main(["verify-sl", "--n", "6"]) == 2
 
     def test_bad_tolerance(self):
-        assert main(["verify-sl", "--n", "2", "--tol", "-1"]) == 2
+        for tol in ("-1", "nan", "inf"):
+            assert main(["verify-sl", "--n", "2", "--tol", tol]) == 2
 
     def test_impossible_tolerance_fails_checks(self, capsys):
         assert main(["verify-sl", "--n", "2", "--tol", "1e-30"]) == 1
@@ -89,6 +90,17 @@ class TestAnalyze:
 
     def test_bad_point(self):
         assert main(["analyze", "--expr", "x1^2", "--level", "1", "--point", "a,b"]) == 2
+
+    @pytest.mark.parametrize(
+        "level, point",
+        [("nan", "3,4"), ("1e400", "3,4"), ("-inf", "3,4"), ("25", "nan,4"), ("25", "3,inf")],
+    )
+    def test_non_finite_input(self, capsys, level, point):
+        code = main(["analyze", "--expr", "x1^2+x2^2", f"--level={level}", f"--point={point}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
     def test_variable_beyond_point_arity(self):
         assert main(["analyze", "--expr", "x1^2+x4", "--level", "1", "--point", "1,0,0"]) == 2

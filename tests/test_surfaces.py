@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import slcurv.surfaces
+from slcurv.cli import run_verify_sl
 from slcurv.fields import determinant_field, quadric_field, sphere_field
 from slcurv.linalg import frobenius_norm, jacobi_eigh
 from slcurv.slgroup import gauss_map, principal_curvatures_identity, random_sl, random_special_orthogonal
@@ -140,8 +142,9 @@ class TestWeingartenApply:
             assert abs(out @ p) <= 1e-12  # grad at I is vec(I)
 
     def test_non_tangent_rejected(self):
-        with pytest.raises(NonTangentVectorError):
-            weingarten_apply(sl_surface(2), np.eye(2).ravel(), np.eye(2).ravel())
+        for v in ([1.0, 0.0, 0.0, 1.0], [np.nan, 0.0, 0.0, 0.0]):
+            with pytest.raises(NonTangentVectorError):
+                weingarten_apply(sl_surface(2), np.eye(2).ravel(), v)
 
     def test_matches_transpose_rule(self, rng):
         # Weingarten map of SL(n) at the identity sends vec(H) to n^{-1/2} vec(H^t)
@@ -198,6 +201,29 @@ class TestCurvatureReport:
             assert [m for _, m in report.curvatures] == [m for _, m in exact]
             for (got, _), (want, _) in zip(report.curvatures, exact):
                 assert abs(got - want) <= 1e-9
+
+    def test_one_derivative_pass_per_point(self, monkeypatch):
+        points = {"gradient": [], "hessian": []}
+        for name, seen in points.items():
+            original = getattr(slcurv.surfaces, name)
+
+            def counted(field, p, original=original, seen=seen):
+                seen.append(np.array(p, dtype=float))
+                return original(field, p)
+
+            monkeypatch.setattr(slcurv.surfaces, name, counted)
+        curvature_report(sl_surface(3), random_sl(3, 5).ravel())
+        assert [len(points["gradient"]), len(points["hessian"])] == [1, 1]
+        v = np.diag([1.0, -1.0, 0.0]).ravel()
+        second_fundamental_form(sl_surface(3), np.eye(3).ravel(), v, v)
+        assert [len(points["gradient"]), len(points["hessian"])] == [2, 2]
+        points["hessian"].clear()
+        run_verify_sl(3, 1e-8, 42)
+        # the identity, then the five rotation points
+        hessian_points = points["hessian"]
+        assert len(hessian_points) == 6
+        assert np.array_equal(hessian_points[0], np.eye(3).ravel())
+        assert len({p.tobytes() for p in hessian_points}) == 6
 
     def test_rotation_points_share_identity_spectrum(self):
         # left translation by a rotation is an ambient isometry fixing SL(n)

@@ -1,13 +1,14 @@
 """Curvature toolkit for implicit hypersurfaces in R^N.
 
-Numeric pipeline: forward-mode AD gradients/Hessians of scalar fields,
+Numeric pipeline: one forward-mode AD pass per point for the gradient and
+Hessian of a scalar field,
 an orthonormal tangent basis from a Householder reflector, the shape
 operator in that basis, and principal/Gauss-Kronecker/mean curvatures
 from its Jacobi eigendecomposition. The det = 1 hypersurface SL(n, R)
 comes with exact closed forms for cross-checking the whole pipeline.
 """
 
-from .autodiff import Dual, HyperDual, gradient, hessian
+from .autodiff import HyperDual, gradient, hessian
 from .fields import (
     ExpressionTree,
     ParseError,

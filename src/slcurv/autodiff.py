@@ -1,9 +1,11 @@
-"""Forward-mode automatic differentiation on truncated-Taylor scalars.
+"""Forward-mode automatic differentiation with hyper-dual numbers.
 
-Dual carries a first-derivative payload (coefficient of eps, eps^2 = 0).
 HyperDual carries two independent first-order payloads and their mixed
-second-order coefficient (eps1, eps2, eps1*eps2 with eps1^2 = eps2^2 = 0),
-which makes one evaluation yield one exact mixed partial.
+second-order coefficient (eps1, eps2, eps1*eps2 with eps1^2 = eps2^2 = 0).
+The payloads are floats or numpy arrays. With float payloads one
+evaluation yields one exact mixed partial; seeding coordinate k with the
+unit vector e_k in both first-order slots (vector mode) makes one
+evaluation yield the whole gradient in d1 and the whole Hessian in d12.
 """
 
 from __future__ import annotations
@@ -12,94 +14,24 @@ import numpy as np
 
 _SCALARS = (int, float, np.integer, np.floating)
 
-
-class Dual:
-    """Scalar a + b*eps with eps^2 = 0."""
-
-    __slots__ = ("value", "deriv")
-
-    def __init__(self, value: float, deriv: float = 0.0):
-        self.value = float(value)
-        self.deriv = float(deriv)
-
-    def __repr__(self):
-        return f"Dual({self.value!r}, {self.deriv!r})"
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value + other.value, self.deriv + other.deriv)
-        if isinstance(other, _SCALARS):
-            return Dual(self.value + other, self.deriv)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value - other.value, self.deriv - other.deriv)
-        if isinstance(other, _SCALARS):
-            return Dual(self.value - other, self.deriv)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
-            return Dual(other - self.value, -self.deriv)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.value * other.value,
-                self.value * other.deriv + self.deriv * other.value,
-            )
-        if isinstance(other, _SCALARS):
-            return Dual(self.value * other, self.deriv * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            if other.value == 0.0:
-                raise ZeroDivisionError("division by dual with zero real part")
-            inv = 1.0 / other.value
-            return Dual(
-                self.value * inv,
-                (self.deriv * other.value - self.value * other.deriv) * inv * inv,
-            )
-        if isinstance(other, _SCALARS):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return Dual(self.value / other, self.deriv / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return Dual(other, 0.0) / self
-        return NotImplemented
-
-    def __neg__(self):
-        return Dual(-self.value, -self.deriv)
-
-    def __pow__(self, k):
-        if not isinstance(k, (int, np.integer)) or k < 0:
-            raise ValueError("dual powers require a non-negative integer exponent")
-        return ipow(self, int(k))
+# the mixed term of a product: an outer product of array payloads, the plain
+# product of float payloads
+_outer = np.multiply.outer
 
 
 class HyperDual:
     """Scalar a + b*eps1 + c*eps2 + d*eps1*eps2 with eps1^2 = eps2^2 = 0.
 
-    Setting d2 = d12 = 0 reproduces Dual arithmetic in the d1 slot.
+    Setting d2 = d12 = 0 reproduces dual-number arithmetic in the d1 slot.
     """
 
     __slots__ = ("value", "d1", "d2", "d12")
 
-    def __init__(self, value: float, d1: float = 0.0, d2: float = 0.0, d12: float = 0.0):
+    def __init__(self, value: float, d1=0.0, d2=0.0, d12=0.0):
         self.value = float(value)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
-        self.d12 = float(d12)
+        self.d1 = d1
+        self.d2 = d2
+        self.d12 = d12
 
     def __repr__(self):
         return f"HyperDual({self.value!r}, {self.d1!r}, {self.d2!r}, {self.d12!r})"
@@ -142,8 +74,8 @@ class HyperDual:
                 self.value * other.d1 + self.d1 * other.value,
                 self.value * other.d2 + self.d2 * other.value,
                 self.value * other.d12
-                + self.d1 * other.d2
-                + self.d2 * other.d1
+                + _outer(self.d1, other.d2)
+                + _outer(other.d1, self.d2)
                 + self.d12 * other.value,
             )
         if isinstance(other, _SCALARS):
@@ -169,7 +101,7 @@ class HyperDual:
 
     def __rtruediv__(self, other):
         if isinstance(other, _SCALARS):
-            return HyperDual(other) / self
+            return self._reciprocal() * other
         return NotImplemented
 
     def _reciprocal(self):
@@ -180,7 +112,7 @@ class HyperDual:
             inv,
             -self.d1 * inv2,
             -self.d2 * inv2,
-            (2.0 * self.d1 * self.d2 * inv - self.d12) * inv2,
+            (_outer(2.0 * self.d1, self.d2) * inv - self.d12) * inv2,
         )
 
     def __neg__(self):
@@ -196,7 +128,8 @@ def ipow(x, k: int):
     """x**k by left-folded repeated multiplication, k a non-negative integer.
 
     The same multiplication sequence runs for every scalar ring, so the
-    value slot of a dual evaluation matches plain-float evaluation bitwise.
+    value slot of a hyper-dual evaluation matches plain-float evaluation
+    bitwise.
     """
     if k < 0:
         raise ValueError("ipow requires a non-negative exponent")
@@ -208,39 +141,33 @@ def ipow(x, k: int):
     return out
 
 
-def gradient(field, p) -> np.ndarray:
-    """Exact gradient of a scalar field at p, one Dual pass per coordinate."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size != field.arity:
-        raise ValueError(f"point has {p.size} coordinates, field arity is {field.arity}")
-    n = p.size
-    grad = np.empty(n)
-    for k in range(n):
-        args = [Dual(p[i], 1.0 if i == k else 0.0) for i in range(n)]
-        out = field(args)
-        grad[k] = out.deriv if isinstance(out, Dual) else 0.0
-    return grad
+def _jet(field, p) -> tuple[np.ndarray, np.ndarray]:
+    """(gradient, Hessian) of a scalar field at p from one vector-mode pass.
 
-
-def hessian(field, p) -> np.ndarray:
-    """Exact Hessian of a scalar field at p.
-
-    One HyperDual pass per unordered index pair; both triangles are filled
-    from the same evaluation, so the result is bitwise symmetric.
+    Coordinate k enters as HyperDual(p[k], e_k, e_k, 0). Entry (i, j) of the
+    result runs the float operations of a scalar pass seeded with e_i and
+    e_j; the lower triangle is copied from the upper one, so the Hessian is
+    bitwise symmetric. A field whose output is constant has zero derivatives.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size != field.arity:
         raise ValueError(f"point has {p.size} coordinates, field arity is {field.arity}")
     n = p.size
-    hess = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            args = [
-                HyperDual(p[k], 1.0 if k == i else 0.0, 1.0 if k == j else 0.0)
-                for k in range(n)
-            ]
-            out = field(args)
-            d12 = out.d12 if isinstance(out, HyperDual) else 0.0
-            hess[i, j] = d12
-            hess[j, i] = d12
-    return hess
+    eye, zeros = np.eye(n), np.zeros((n, n))
+    out = field([HyperDual(p[k], eye[k], eye[k], zeros) for k in range(n)])
+    if not isinstance(out, HyperDual):
+        return np.zeros(n), zeros
+    hess = np.array(out.d12, dtype=float)
+    lower = np.tril_indices(n, -1)
+    hess[lower] = hess.T[lower]
+    return np.array(out.d1, dtype=float), hess
+
+
+def gradient(field, p) -> np.ndarray:
+    """Exact gradient of a scalar field at p."""
+    return _jet(field, p)[0]
+
+
+def hessian(field, p) -> np.ndarray:
+    """Exact Hessian of a scalar field at p, bitwise symmetric."""
+    return _jet(field, p)[1]

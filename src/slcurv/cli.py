@@ -217,6 +217,9 @@ def _cmd_analyze(args) -> int:
     except (OffSurfaceError, CriticalPointError, ZeroDivisionError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a surface with no curvature to report, e.g. in R^1
+        print(f"analyze: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report_to_dict(report), indent=2))
     else:

@@ -1,4 +1,4 @@
-"""Scalar fields on R^N evaluable over plain floats, Dual, or HyperDual.
+"""Scalar fields on R^N evaluable over plain floats or HyperDual numbers.
 
 A field is an arity plus an evaluation recipe built from ring operations
 only (+, -, *, /, integer powers), so the same recipe runs unchanged over
@@ -103,6 +103,15 @@ def sphere_field(dim: int) -> ScalarField:
 #   term   := factor (('*'|'/') factor)*
 #   factor := '-' factor | atom ('^' digits)?
 #   atom   := number | 'x' digits | '(' expr ')'
+#
+# The parser, evaluator and unparser recurse, and ipow multiplies
+# exponent - 1 times, so parsing bounds both: at most _MAX_DEPTH nested
+# parentheses and unary minuses, a tree at most _MAX_DEPTH operators high,
+# and exponents at most _MAX_EXPONENT. Digits are ASCII.
+
+_MAX_DEPTH = 128
+_MAX_EXPONENT = 100
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -197,11 +206,18 @@ def _unparse_atomic(node: Node) -> str:
     return f"({text})"
 
 
+def _bounded_int(digits: str, limit: int) -> int:
+    """int(digits) if it is at most limit, else limit + 1, without converting long strings."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(limit)) else limit + 1
+
+
 class _Parser:
     def __init__(self, text: str, arity: int):
         self.text = text
         self.arity = arity
         self.pos = 0
+        self.depth = 0  # open parentheses and unary minuses around pos
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -216,72 +232,101 @@ class _Parser:
         self.pos += 1
         return ch
 
+    def _digits(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
+            self.pos += 1
+        return self.text[start : self.pos]
+
+    def _enter(self, at: int):
+        # called before the parser recurses into '(' or unary minus
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels", at)
+
+    def _height(self, at: int, *children: int) -> int:
+        height = 1 + max(children)
+        if height > _MAX_DEPTH:
+            raise ParseError(f"expression tree higher than {_MAX_DEPTH} operators", at)
+        return height
+
+    # each method below returns (node, height of the node's tree)
+
     def parse(self) -> ExpressionTree:
-        root = self._expr()
+        root, _ = self._expr()
         self._skip_ws()
         if self.pos < len(self.text):
             raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
         return ExpressionTree(root=root, arity=self.arity)
 
-    def _expr(self) -> Node:
-        node = self._term()
+    def _expr(self) -> tuple[Node, int]:
+        node, height = self._term()
         while self._peek() in ("+", "-"):
-            op = self._take()
-            node = BinOp(op=op, left=node, right=self._term())
-        return node
+            at, op = self.pos, self._take()
+            right, right_height = self._term()
+            node, height = BinOp(op=op, left=node, right=right), self._height(at, height, right_height)
+        return node, height
 
-    def _term(self) -> Node:
-        node = self._factor()
+    def _term(self) -> tuple[Node, int]:
+        node, height = self._factor()
         while self._peek() in ("*", "/"):
-            op = self._take()
-            node = BinOp(op=op, left=node, right=self._factor())
-        return node
+            at, op = self.pos, self._take()
+            right, right_height = self._factor()
+            node, height = BinOp(op=op, left=node, right=right), self._height(at, height, right_height)
+        return node, height
 
-    def _factor(self) -> Node:
+    def _factor(self) -> tuple[Node, int]:
         if self._peek() == "-":
+            at = self.pos
+            self._enter(at)
             self._take()
-            return Neg(operand=self._factor())
-        node = self._atom()
+            operand, height = self._factor()
+            self.depth -= 1
+            return Neg(operand=operand), self._height(at, height)
+        node, height = self._atom()
         if self._peek() == "^":
+            at = self.pos
             self._take()
-            node = Pow(base=node, exponent=self._exponent())
-        return node
+            node, height = Pow(base=node, exponent=self._exponent()), self._height(at, height)
+        return node, height
 
     def _exponent(self) -> int:
         self._skip_ws()
         start = self.pos
         if self._peek() == "-":
             raise ParseError("negative exponents are not allowed", self.pos)
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        digits = self._digits()
+        if not digits:
             raise ParseError("exponent must be a non-negative integer literal", start)
-        return int(self.text[start : self.pos])
+        exponent = _bounded_int(digits, _MAX_EXPONENT)
+        if exponent > _MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds {_MAX_EXPONENT}", start)
+        return exponent
 
-    def _atom(self) -> Node:
+    def _atom(self) -> tuple[Node, int]:
         ch = self._peek()
         start = self.pos
         if ch == "(":
+            self._enter(start)
             self._take()
-            node = self._expr()
+            node, height = self._expr()
             if self._peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self._take()
-            return node
-        if ch.isdigit() or ch == ".":
-            return Const(value=self._number())
+            self.depth -= 1
+            return node, height
+        if ch in _DIGITS or ch == ".":
+            return Const(value=self._number()), 0
         if ch.isalpha():
-            return self._variable()
+            return self._variable(), 0
         raise ParseError("expected a number, variable, or '('", start)
 
     def _number(self) -> float:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
+        self._digits()
         if self.pos < len(self.text) and self.text[self.pos] == ".":
             self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
+            self._digits()
         token = self.text[start : self.pos]
         if token == ".":
             raise ParseError("malformed number literal", start)
@@ -292,11 +337,12 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isalnum():
             self.pos += 1
         name = self.text[start : self.pos]
-        if not (name[0] == "x" and name[1:].isdigit()):
+        digits = name[1:]
+        if not (name[0] == "x" and digits.isascii() and digits.isdigit()):
             raise ParseError(f"unknown identifier {name!r}", start)
-        index = int(name[1:])
+        index = _bounded_int(digits, self.arity)
         if not 1 <= index <= self.arity:
-            raise ParseError(f"variable x{index} exceeds arity {self.arity}", start)
+            raise ParseError(f"variable {name} exceeds arity {self.arity}", start)
         return Var(index=index - 1)
 
 
@@ -304,7 +350,8 @@ def parse_expression(text: str, arity: int) -> ExpressionTree:
     """Parse expression text over variables x1..xN into an ExpressionTree.
 
     Standard precedence (^ above unary minus above * / above + -), left
-    association for - and /; exponents are non-negative integer literals.
+    association for - and /; exponents are integer literals in
+    [0, _MAX_EXPONENT], and nesting and tree height are at most _MAX_DEPTH.
     """
     if arity < 0:
         raise ValueError("arity must be non-negative")

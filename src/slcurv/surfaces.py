@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .autodiff import gradient, hessian
+from .autodiff import _jet
 from .fields import ScalarField
 from .linalg import cluster_multiplicities, complement_basis, jacobi_eigh
 
@@ -82,7 +82,12 @@ class CurvatureReport:
     eigenvalues: np.ndarray = dataclass_field(repr=False, default=None)
 
 
-def _checked_gradient(s: ImplicitHypersurface, p) -> tuple[np.ndarray, np.ndarray, float]:
+def _checked_jet(s: ImplicitHypersurface, p):
+    """(p, gradient, |gradient|, Hessian) at an on-surface, non-critical point.
+
+    The on-surface check uses a plain-float evaluation, so an off-surface
+    point costs no AD pass; one pass then gives the gradient and Hessian.
+    """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size != s.ambient_dim:
         raise ValueError(f"point must have {s.ambient_dim} coordinates, got {p.size}")
@@ -91,11 +96,11 @@ def _checked_gradient(s: ImplicitHypersurface, p) -> tuple[np.ndarray, np.ndarra
         raise OffSurfaceError(
             f"point is off-surface: field value {value!r} vs level {s.level!r}"
         )
-    g = gradient(s.field, p)
+    g, hess = _jet(s.field, p)
     gnorm = float(np.sqrt(g @ g))
     if gnorm <= CRITICAL_GRADIENT_FLOOR:
         raise CriticalPointError(f"gradient magnitude {gnorm:.3e} below critical floor")
-    return p, g, gnorm
+    return p, g, gnorm, hess
 
 
 def _tangent(v, g: np.ndarray, gnorm: float, what: str) -> np.ndarray:
@@ -109,16 +114,18 @@ def _tangent(v, g: np.ndarray, gnorm: float, what: str) -> np.ndarray:
 
 
 def _local_frame(s: ImplicitHypersurface, p):
-    """One gradient and one Hessian at p: (p, unit normal, W, tangent basis T)."""
-    p, g, gnorm = _checked_gradient(s, p)
+    """One derivative pass at p: (p, unit normal, W, tangent basis T)."""
+    p, g, gnorm, hess = _checked_jet(s, p)
+    if p.size < 2:
+        raise ValueError("a level set in R^1 has an empty tangent space, so no curvature")
     basis = complement_basis(g)
-    w = -(basis.T @ hessian(s.field, p) @ basis) / gnorm
+    w = -(basis.T @ hess @ basis) / gnorm
     return p, g / gnorm, w, basis
 
 
 def unit_normal(s: ImplicitHypersurface, p) -> np.ndarray:
     """Oriented unit normal grad(f)/|grad(f)| at an on-surface point."""
-    _, g, gnorm = _checked_gradient(s, p)
+    _, g, gnorm, _ = _checked_jet(s, p)
     return g / gnorm
 
 
@@ -137,21 +144,22 @@ def weingarten_apply(s: ImplicitHypersurface, p, v) -> np.ndarray:
 
     Computes -(I - N N^t) H v / |grad f|, which stays in the tangent space.
     """
-    return _apply_at(s, *_checked_gradient(s, p), v)
+    _, g, gnorm, hess = _checked_jet(s, p)
+    return _apply_at(g, gnorm, hess, v)
 
 
-def _apply_at(s: ImplicitHypersurface, p, g, gnorm, v) -> np.ndarray:
+def _apply_at(g, gnorm, hess, v) -> np.ndarray:
     v = _tangent(v, g, gnorm, "vector")
     normal = g / gnorm
-    hv = hessian(s.field, p) @ v
+    hv = hess @ v
     return -(hv - normal * float(normal @ hv)) / gnorm
 
 
 def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
     """Bilinear form <L(v), w> on tangent vectors; symmetric in (v, w)."""
-    p, g, gnorm = _checked_gradient(s, p)
+    _, g, gnorm, hess = _checked_jet(s, p)
     w = _tangent(w, g, gnorm, "second argument")
-    return float(_apply_at(s, p, g, gnorm, v) @ w)
+    return float(_apply_at(g, gnorm, hess, v) @ w)
 
 
 def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> CurvatureReport:

@@ -1,72 +1,16 @@
 import numpy as np
 import pytest
 
-from slcurv.autodiff import Dual, HyperDual, gradient, hessian, ipow
-from slcurv.fields import determinant_field, quadric_field
+from slcurv.autodiff import HyperDual, gradient, hessian, ipow
+from slcurv.fields import determinant_field, expression_field, quadric_field
 from slcurv.linalg import det_inverse
+from slcurv.slgroup import random_sl
 
 from conftest import fd_gradient
 
 
-def random_dual(rng):
-    return Dual(rng.uniform(-2, 2), rng.uniform(-2, 2))
-
-
 def random_hyperdual(rng):
     return HyperDual(*rng.uniform(-2, 2, size=4))
-
-
-class TestDual:
-    def test_multiplication_rule(self, rng):
-        for _ in range(50):
-            a, b = random_dual(rng), random_dual(rng)
-            prod = a * b
-            assert prod.value == a.value * b.value
-            assert prod.deriv == a.value * b.deriv + a.deriv * b.value
-
-    def test_commutativity_exact(self, rng):
-        for _ in range(50):
-            a, b = random_dual(rng), random_dual(rng)
-            assert (a + b).value == (b + a).value and (a + b).deriv == (b + a).deriv
-            assert (a * b).value == (b * a).value and (a * b).deriv == (b * a).deriv
-
-    def test_distributivity(self, rng):
-        for _ in range(100):
-            a, b, c = (random_dual(rng) for _ in range(3))
-            lhs = a * (b + c)
-            rhs = a * b + a * c
-            scale = 1.0 + abs(rhs.value) + abs(rhs.deriv)
-            assert abs(lhs.value - rhs.value) <= 1e-14 * scale
-            assert abs(lhs.deriv - rhs.deriv) <= 1e-14 * scale
-
-    def test_division_inverts_multiplication(self, rng):
-        for _ in range(50):
-            a, b = random_dual(rng), random_dual(rng)
-            if abs(b.value) < 1e-3:
-                continue
-            q = (a * b) / b
-            assert q.value == pytest.approx(a.value, rel=1e-14)
-            assert q.deriv == pytest.approx(a.deriv, rel=1e-12, abs=1e-13)
-
-    def test_division_by_zero_real_part(self):
-        with pytest.raises(ZeroDivisionError):
-            Dual(1.0, 0.0) / Dual(0.0, 3.0)
-        with pytest.raises(ZeroDivisionError):
-            1.0 / Dual(0.0, 1.0)
-
-    def test_float_interop(self):
-        x = Dual(3.0, 1.0)
-        y = 2.0 * x + 1.0 - x / 2.0
-        assert y.value == 5.5
-        assert y.deriv == 1.5
-
-    def test_integer_power(self):
-        x = Dual(2.0, 1.0)
-        y = x**3
-        assert y.value == 8.0
-        assert y.deriv == 12.0
-        with pytest.raises(ValueError):
-            x ** (-1)
 
 
 class TestHyperDual:
@@ -74,24 +18,52 @@ class TestHyperDual:
         for _ in range(50):
             a, b = random_hyperdual(rng), random_hyperdual(rng)
             prod = a * b
+            assert prod.value == a.value * b.value
+            assert prod.d1 == a.value * b.d1 + a.d1 * b.value
             assert prod.d12 == a.value * b.d12 + a.d1 * b.d2 + a.d2 * b.d1 + a.d12 * b.value
+            # sums commute exactly, products exactly up to the mixed slot,
+            # whose four terms are added in another order
+            swapped = b * a
+            for slot in ("value", "d1", "d2", "d12"):
+                assert getattr(a + b, slot) == getattr(b + a, slot)
+            for slot in ("value", "d1", "d2"):
+                assert getattr(prod, slot) == getattr(swapped, slot)
 
     def test_specializes_to_dual(self, rng):
-        # d2 = d12 = 0 must reproduce Dual in the d1 slot
+        # d2 = d12 = 0 stays zero, and the d1 slot follows dual-number arithmetic
         for _ in range(50):
             av, ad, bv, bd = rng.uniform(-2, 2, size=4)
-            through_dual = Dual(av, ad) * Dual(bv, bd) + Dual(av, ad)
-            through_hyper = HyperDual(av, ad) * HyperDual(bv, bd) + HyperDual(av, ad)
-            assert through_hyper.value == through_dual.value
-            assert through_hyper.d1 == through_dual.deriv
-            assert through_hyper.d2 == 0.0 and through_hyper.d12 == 0.0
+            out = HyperDual(av, ad) * HyperDual(bv, bd) + HyperDual(av, ad)
+            assert out.value == av * bv + av
+            assert out.d1 == (av * bd + ad * bv) + ad
+            assert out.d2 == 0.0 and out.d12 == 0.0
+        # float interop
+        x = HyperDual(3.0, 1.0)
+        y = 2.0 * x + 1.0 - x / 2.0
+        assert (y.value, y.d1, y.d2, y.d12) == (5.5, 1.5, 0.0, 0.0)
+        # integer powers, non-negative only
+        x = HyperDual(2.0, 1.0)
+        y = x**3
+        assert (y.value, y.d1) == (8.0, 12.0)
+        for k in (-1, 2.0):
+            with pytest.raises(ValueError):
+                x**k
 
-    def test_reciprocal_second_order(self):
+    def test_reciprocal_second_order(self, rng):
         # 1/x for x = 2 + e1 + e2: d12 of 1/x is 2/x^3 = 0.25
         inv = 1.0 / HyperDual(2.0, 1.0, 1.0, 0.0)
         assert inv.value == 0.5
         assert inv.d1 == -0.25 and inv.d2 == -0.25
         assert inv.d12 == pytest.approx(0.25, rel=1e-15)
+        # division inverts multiplication
+        for _ in range(50):
+            a, b = random_hyperdual(rng), random_hyperdual(rng)
+            if abs(b.value) < 1e-3:
+                continue
+            q = (a * b) / b
+            assert q.value == pytest.approx(a.value, rel=1e-14)
+            for slot in ("d1", "d2", "d12"):
+                assert getattr(q, slot) == pytest.approx(getattr(a, slot), rel=1e-12, abs=1e-13)
 
     def test_distributivity(self, rng):
         for _ in range(100):
@@ -105,10 +77,15 @@ class TestHyperDual:
     def test_division_by_zero_real_part(self):
         with pytest.raises(ZeroDivisionError):
             HyperDual(1.0) / HyperDual(0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ZeroDivisionError):
+            1.0 / HyperDual(0.0, 1.0)
+        with pytest.raises(ZeroDivisionError):
+            HyperDual(1.0, 1.0) / 0.0
 
 
 def test_ipow_zero_gives_one():
-    assert ipow(Dual(3.0, 1.0), 0) == 1.0
+    assert ipow(HyperDual(3.0, 1.0), 0) == 1.0
+    assert ipow(HyperDual(3.0, np.ones(2), np.ones(2), np.zeros((2, 2))), 0) == 1.0
     assert ipow(5.0, 0) == 1.0
 
 
@@ -193,3 +170,38 @@ class TestHessian:
         for _ in range(5):
             hess = hessian(field, rng.uniform(-1, 1, size=9))
             assert np.array_equal(hess, hess.T)
+
+    def test_one_pass_matches_per_pair_passes(self, rng):
+        # the one vector-mode pass runs, entry by entry, the float operations
+        # of N scalar first-order passes and N(N+1)/2 scalar mixed passes
+        def per_pair(field, p):
+            n = p.size
+            grad, hess = np.empty(n), np.empty((n, n))
+            for i in range(n):
+                grad[i] = field([HyperDual(p[k], float(k == i)) for k in range(n)]).d1
+                for j in range(i, n):
+                    out = field([HyperDual(p[k], float(k == i), float(k == j)) for k in range(n)])
+                    hess[i, j] = hess[j, i] = out.d12
+            return grad, hess
+
+        cases = [(determinant_field(n), random_sl(n, 30 + n).ravel()) for n in (2, 3, 4, 5)]
+        divides = expression_field("(x1 + x2)^3 / (1 + x3^2) - 2*x2^2/(x1*x3) + 1/x2", 3)
+        cases += [(divides, rng.uniform(0.5, 1.5, size=3)) for _ in range(5)]
+        for field, p in cases:
+            grad, hess = per_pair(field, p)
+            assert gradient(field, p).tobytes() == grad.tobytes()
+            assert hessian(field, p).tobytes() == hess.tobytes()
+
+    def test_det_matches_jacobi_formula(self):
+        # Jacobi's formula, independent of AD: grad det(A) = det(A) A^{-t} and
+        # D^2 det(A)[H, K] = det(A) (tr(A^{-1}H) tr(A^{-1}K) - tr(A^{-1}H A^{-1}K))
+        for n in (2, 3, 4, 5):
+            field = determinant_field(n)
+            for seed in range(3):
+                a = random_sl(n, 500 + 10 * n + seed)
+                det, inv = det_inverse(a)
+                b = inv.T.ravel()  # tr(A^{-1} E_ab) = inv[b, a]
+                expect = det * (np.outer(b, b) - np.einsum("bc,da->abcd", inv, inv).reshape(n * n, n * n))
+                scale = np.max(np.abs(expect))
+                assert np.max(np.abs(hessian(field, a.ravel()) - expect)) <= 1e-12 * scale
+                assert np.max(np.abs(gradient(field, a.ravel()) - det * b)) <= 1e-12 * np.max(np.abs(b))

@@ -102,6 +102,27 @@ class TestAnalyze:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1", " + ".join(["x1"] * 2000), "x1^50000000"],
+        ids=["nested-parentheses", "unary-minus-chain", "long-sum", "huge-exponent"],
+    )
+    def test_unbounded_grammar_input(self, capsys, expr):
+        code = main(["analyze", f"--expr={expr}", "--level=1", "--point=1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "offset" in captured.err
+
+    def test_one_variable_field(self, capsys):
+        # a level set in R^1 is a set of points: its tangent space is empty
+        code = main(["analyze", "--expr", "x1", "--level=2", "--point=2", "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
     def test_variable_beyond_point_arity(self):
         assert main(["analyze", "--expr", "x1^2+x4", "--level", "1", "--point", "1,0,0"]) == 2
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from slcurv.autodiff import Dual, HyperDual
+from slcurv.autodiff import HyperDual
 from slcurv.fields import (
+    _MAX_DEPTH,
+    _MAX_EXPONENT,
     ParseError,
     determinant_field,
     evaluate,
@@ -25,10 +27,10 @@ class TestDeterminantField:
     def test_dual_cofactor_slot(self):
         # seeding entry (0, 1) of I2: d(det)/da01 = cof(0, 1) = 0 at the identity
         field = determinant_field(2)
-        args = [Dual(1.0), Dual(0.0, 1.0), Dual(0.0), Dual(1.0)]
+        args = [HyperDual(1.0), HyperDual(0.0, 1.0), HyperDual(0.0), HyperDual(1.0)]
         out = field(args)
         assert out.value == 1.0
-        assert out.deriv == 0.0
+        assert out.d1 == 0.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -100,6 +102,31 @@ class TestParse:
         tree = parse_expression("8/4/2", 1)
         assert tree.evaluate([0.0]) == 1.0
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("(" * 3000 + "x1" + ")" * 3000, _MAX_DEPTH),
+            ("-" * 3000 + "x1", _MAX_DEPTH),
+            (" + ".join(["x1"] * 2000), 5 * _MAX_DEPTH + 3),
+            ("x1^50000000", 3),
+            ("x1^" + "9" * 5000, 3),
+        ],
+        ids=["nested-parentheses", "unary-minus-chain", "long-sum", "huge-exponent", "huge-literal"],
+    )
+    def test_depth_and_exponent_caps(self, text, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text, 1)
+        assert exc.value.offset == offset
+
+    def test_inputs_at_the_caps_parse(self):
+        for text in (
+            "(" * _MAX_DEPTH + "x1" + ")" * _MAX_DEPTH,
+            "-" * _MAX_DEPTH + "x1",
+            " + ".join(["x1"] * (_MAX_DEPTH + 1)),
+            f"x1^{_MAX_EXPONENT}",
+        ):
+            assert parse_expression(text, 1).evaluate([1.0]) != 0.0
+
     def test_whitespace_insignificant(self):
         a = parse_expression(" x1 + 2 * x2 ", 2)
         b = parse_expression("x1+2*x2", 2)
@@ -112,9 +139,9 @@ class TestEvaluate:
 
     def test_parsed_product_rule(self):
         tree = parse_expression("x1*x2", 2)
-        out = tree.evaluate([Dual(3.0, 1.0), Dual(5.0, 0.0)])
+        out = tree.evaluate([HyperDual(3.0, 1.0), HyperDual(5.0, 0.0)])
         assert out.value == 15.0
-        assert out.deriv == 5.0
+        assert out.d1 == 5.0
 
     def test_det3_mixed_second_derivative(self):
         # pair (slot 0, slot 4) = entries (0,0) and (1,1): d2(det)/da00 da11 = 1 at I
@@ -136,7 +163,7 @@ class TestEvaluate:
         tree = parse_expression("1/x1", 1)
         assert tree.evaluate([4.0]) == 0.25
         with pytest.raises(ZeroDivisionError):
-            tree.evaluate([Dual(0.0, 1.0)])
+            tree.evaluate([HyperDual(0.0, 1.0)])
 
 
 ROUND_TRIP_CORPUS = [
@@ -175,8 +202,8 @@ def test_unparse_round_trip(text, arity, rng):
 
 
 def test_ring_generic_bitwise():
-    # plain-real evaluation must equal the value slot of a dual evaluation
-    # bitwise for division-free fields
+    # plain-real evaluation must equal the value slot of a hyper-dual
+    # evaluation bitwise for division-free fields, with float or array payloads
     rng = np.random.default_rng(5)
     cases = [
         determinant_field(2),
@@ -189,7 +216,8 @@ def test_ring_generic_bitwise():
         for _ in range(20):
             p = rng.uniform(-2, 2, size=field.arity)
             plain = field(list(p))
-            dualled = field([Dual(x, 1.0) for x in p])
             hyper = field([HyperDual(x, 1.0, 1.0, 0.0) for x in p])
-            assert dualled.value == plain
+            eye, zeros = np.eye(p.size), np.zeros((p.size, p.size))
+            seeded = field([HyperDual(x, eye[k], eye[k], zeros) for k, x in enumerate(p)])
             assert hyper.value == plain
+            assert seeded.value == plain

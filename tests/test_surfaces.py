@@ -203,27 +203,26 @@ class TestCurvatureReport:
                 assert abs(got - want) <= 1e-9
 
     def test_one_derivative_pass_per_point(self, monkeypatch):
-        points = {"gradient": [], "hessian": []}
-        for name, seen in points.items():
-            original = getattr(slcurv.surfaces, name)
+        # one vector-mode pass yields the gradient and the Hessian together
+        points = []
+        original = slcurv.surfaces._jet
 
-            def counted(field, p, original=original, seen=seen):
-                seen.append(np.array(p, dtype=float))
-                return original(field, p)
+        def counted(field, p):
+            points.append(np.array(p, dtype=float))
+            return original(field, p)
 
-            monkeypatch.setattr(slcurv.surfaces, name, counted)
+        monkeypatch.setattr(slcurv.surfaces, "_jet", counted)
         curvature_report(sl_surface(3), random_sl(3, 5).ravel())
-        assert [len(points["gradient"]), len(points["hessian"])] == [1, 1]
+        assert len(points) == 1
         v = np.diag([1.0, -1.0, 0.0]).ravel()
         second_fundamental_form(sl_surface(3), np.eye(3).ravel(), v, v)
-        assert [len(points["gradient"]), len(points["hessian"])] == [2, 2]
-        points["hessian"].clear()
+        assert len(points) == 2
+        points.clear()
         run_verify_sl(3, 1e-8, 42)
         # the identity, then the five rotation points
-        hessian_points = points["hessian"]
-        assert len(hessian_points) == 6
-        assert np.array_equal(hessian_points[0], np.eye(3).ravel())
-        assert len({p.tobytes() for p in hessian_points}) == 6
+        assert len(points) == 6
+        assert np.array_equal(points[0], np.eye(3).ravel())
+        assert len({p.tobytes() for p in points}) == 6
 
     def test_rotation_points_share_identity_spectrum(self):
         # left translation by a rotation is an ambient isometry fixing SL(n)

@@ -261,8 +261,38 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """ArgumentParser whose value-taking options accept a value that starts with '-'.
+
+    argparse reads a token such as -1,0,0,-1 or -1e5 as an option name
+    unless it looks like a plain negative number, so `--point -1,0,0,-1`
+    would fail; each such pair is joined into the `--point=-1,0,0,-1` form
+    before parsing. Subparsers are made with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.value_options = set()  # filled by add_argument, which __init__ calls
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.nargs is None:
+            self.value_options.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = []
+        for token in sys.argv[1:] if args is None else args:
+            dash_value = token.startswith("-") and not token.startswith("--")
+            if dash_value and tokens and tokens[-1] in self.value_options:
+                tokens[-1] = f"{tokens[-1]}={token}"
+            else:
+                tokens.append(token)
+        return super().parse_known_args(tokens, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="slcurv",
         description="Curvature of implicit hypersurfaces, with exact SL(n) cross-checks.",
     )

@@ -192,18 +192,17 @@ def _unparse(node: Node) -> str:
         return _format_number(node.value)
     if isinstance(node, Var):
         return f"x{node.index + 1}"
+    # a binary operation unparses in parentheses, so only a power's base needs
+    # more: -x1^2 means -(x1^2), and the grammar has no x1^2^3. Any other
+    # parentheses would nest the text deeper than the tree is high, past the cap.
     if isinstance(node, Neg):
-        return f"-{_unparse_atomic(node.operand)}"
+        return f"-{_unparse(node.operand)}"
     if isinstance(node, Pow):
-        return f"{_unparse_atomic(node.base)}^{node.exponent}"
+        base = _unparse(node.base)
+        if isinstance(node.base, (Neg, Pow)):
+            base = f"({base})"
+        return f"{base}^{node.exponent}"
     return f"({_unparse(node.left)} {node.op} {_unparse(node.right)})"
-
-
-def _unparse_atomic(node: Node) -> str:
-    text = _unparse(node)
-    if isinstance(node, (Const, Var)) or text.startswith("("):
-        return text
-    return f"({text})"
 
 
 def _bounded_int(digits: str, limit: int) -> int:

@@ -29,7 +29,10 @@ class OffSurfaceError(ValueError):
 
 
 class CriticalPointError(ValueError):
-    """Gradient magnitude at the point is below the critical floor."""
+    """Degenerate gradient: below the critical floor or not finite.
+
+    A non-finite Hessian is rejected with it.
+    """
 
 
 class NonTangentVectorError(ValueError):
@@ -87,6 +90,8 @@ def _checked_jet(s: ImplicitHypersurface, p):
 
     The on-surface check uses a plain-float evaluation, so an off-surface
     point costs no AD pass; one pass then gives the gradient and Hessian.
+    A pass that overflows is rejected as degenerate, so no non-finite
+    derivative reaches the shape operator.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size != s.ambient_dim:
@@ -96,8 +101,13 @@ def _checked_jet(s: ImplicitHypersurface, p):
         raise OffSurfaceError(
             f"point is off-surface: field value {value!r} vs level {s.level!r}"
         )
-    g, hess = _jet(s.field, p)
-    gnorm = float(np.sqrt(g @ g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, hess = _jet(s.field, p)
+        gnorm = float(np.sqrt(g @ g))
+    if not (math.isfinite(gnorm) and np.all(np.isfinite(hess))):
+        raise CriticalPointError(
+            f"gradient or Hessian is not finite (gradient magnitude {gnorm:.3e})"
+        )
     if gnorm <= CRITICAL_GRADIENT_FLOOR:
         raise CriticalPointError(f"gradient magnitude {gnorm:.3e} below critical floor")
     return p, g, gnorm, hess

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,43 @@ class TestAnalyze:
         code = main(["analyze", "--expr", "1/x1", "--level", "1", "--point", "0"])
         assert code == 1
         assert "zero" in capsys.readouterr().err
+
+    def test_non_finite_derivatives(self, capsys):
+        # the gradient of 1/x1 at 1e-200 overflows to -inf while the value stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--expr", "1/x1 + x2", "--level=0", "--point=1e-200,-1e200"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "spaced, joined",
+        [
+            (
+                ["--builtin", "sl", "--n", "2", "--point", "-1,0,0,-1"],
+                ["--builtin", "sl", "--n", "2", "--point=-1,0,0,-1"],
+            ),
+            (
+                ["--expr", "x1 + x2", "--level", "-1e5", "--point=-1e5,0"],
+                ["--expr", "x1 + x2", "--level=-1e5", "--point=-1e5,0"],
+            ),
+            (
+                ["--expr", "-x1^2-x2^2", "--level=-25", "--point=3,4"],
+                ["--expr=-x1^2-x2^2", "--level=-25", "--point=3,4"],
+            ),
+        ],
+        ids=["point", "level", "expr"],
+    )
+    def test_value_starting_with_minus(self, capsys, spaced, joined):
+        # a value after a space that starts with '-' is a value, not an option
+        results = []
+        for argv in (spaced, joined):
+            code = main(["analyze", *argv, "--json"])
+            results.append((code, capsys.readouterr().out))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and results[0][1] != ""
 
     def test_text_output(self, capsys):
         assert main(["analyze", "--builtin", "sl", "--n", "2", "--point", "1,0,0,1"]) == 0

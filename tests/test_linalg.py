@@ -12,6 +12,15 @@ from slcurv.linalg import (
     frobenius_norm,
     jacobi_eigh,
 )
+from slcurv.slgroup import principal_curvatures_identity
+from slcurv.surfaces import ImplicitHypersurface, weingarten_matrix
+
+
+def assert_matches_eigh(a, spec):
+    # eigenvalues within 1e-13 * max(1, max|lambda|) of LAPACK, descending
+    expect = np.linalg.eigh(a)[0][::-1]
+    scale = max(1.0, float(np.max(np.abs(expect))))
+    assert np.max(np.abs(spec.values - expect)) <= 1e-13 * scale
 
 
 class TestDetInverse:
@@ -152,6 +161,62 @@ class TestJacobiEigh:
         spec = jacobi_eigh(np.zeros((4, 4)))
         assert np.array_equal(spec.values, np.zeros(4))
         assert np.array_equal(spec.vectors, np.eye(4))
+
+    def test_diagonal_input_untouched(self):
+        values = np.array([3.5, 1.0, 0.0, -2.0, -7.25])
+        spec = jacobi_eigh(np.diag(values))
+        assert np.array_equal(spec.values, values)
+        assert np.array_equal(spec.vectors, np.eye(5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 23, 24, 36])
+    def test_matches_lapack(self, rng, n):
+        # odd sizes pad the round-robin schedule with an index that is never rotated
+        for _ in range(3):
+            a = rng.standard_normal((n, n))
+            a = 0.5 * (a + a.T)
+            spec = jacobi_eigh(a)
+            assert_matches_eigh(a, spec)
+            assert np.max(np.abs(spec.vectors.T @ spec.vectors - np.eye(n))) <= 1e-10
+
+    def test_clustered_spectrum(self, rng):
+        # a random orthogonal conjugate of a spectrum with three repeated values
+        q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        a = q @ np.diag([2.0, 2.0, 2.0, 0.5, 0.5, -1.0, -1.0, -1.0, -1.0]) @ q.T
+        a = 0.5 * (a + a.T)
+        spec = jacobi_eigh(a)
+        assert_matches_eigh(a, spec)
+        assert [m for _, m in cluster_multiplicities(spec.values)] == [3, 2, 4]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sl_identity_weingarten_multiplicities(self, n):
+        surface = ImplicitHypersurface(field=determinant_field(n), level=1.0)
+        w, _ = weingarten_matrix(surface, np.eye(n).ravel())
+        spec = jacobi_eigh(w)
+        assert_matches_eigh(w, spec)
+        exact = principal_curvatures_identity(n)
+        assert [m for _, m in cluster_multiplicities(spec.values)] == [m for _, m in exact]
+
+    def test_subnormal_scale_threshold(self):
+        # (2, 3) starts below 1e-153 * max(1, |diff|) and is zeroed unrotated;
+        # (0, 2) starts at it and is rotated without overflow in tau
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        a[0, 1] = a[1, 0] = 0.5
+        a[2, 3] = a[3, 2] = 3e-154
+        a[0, 2] = a[2, 0] = 2e-153
+        spec = jacobi_eigh(a)
+        assert np.all(np.isfinite(spec.values)) and np.all(np.isfinite(spec.vectors))
+        assert_matches_eigh(a, spec)
+        recon = spec.vectors @ np.diag(spec.values) @ spec.vectors.T
+        assert frobenius_norm(a - recon) <= 1e-9 * frobenius_norm(a)
+        assert np.max(np.abs(spec.vectors.T @ spec.vectors - np.eye(4))) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3)
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(ValueError, match="finite") as info:
+            jacobi_eigh(a)
+        assert type(info.value) is ValueError
 
 
 class TestClusterMultiplicities:

@@ -3,7 +3,7 @@ import pytest
 
 import slcurv.surfaces
 from slcurv.cli import run_verify_sl
-from slcurv.fields import determinant_field, quadric_field, sphere_field
+from slcurv.fields import determinant_field, expression_field, quadric_field, sphere_field
 from slcurv.linalg import frobenius_norm, jacobi_eigh
 from slcurv.slgroup import gauss_map, principal_curvatures_identity, random_sl, random_special_orthogonal
 from slcurv.surfaces import (
@@ -56,6 +56,17 @@ class TestUnitNormal:
         cone = ImplicitHypersurface(field=quadric_field([1.0, -1.0]), level=0.0)
         with pytest.raises(CriticalPointError):
             unit_normal(cone, [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "text, point",
+        [("1/x1 + x2", [1e-200, -1e200]), ("1/x1 + x2", [1e-110, -1e110])],
+        ids=["infinite-gradient", "infinite-hessian"],
+    )
+    def test_non_finite_derivatives_rejected(self, text, point):
+        # 1/x1 at 1e-200: the gradient overflows; at 1e-110 only the Hessian does
+        surface = ImplicitHypersurface(field=expression_field(text, 2), level=0.0)
+        with pytest.raises(CriticalPointError, match="not finite"):
+            curvature_report(surface, point)
 
     def test_surface_tolerance_override(self):
         loose = ImplicitHypersurface(field=sphere_field(2), level=1.0, on_surface_tol=0.1)

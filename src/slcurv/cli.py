@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -133,8 +134,8 @@ def run_verify_sl(n: int, tolerance: float, seed: int) -> tuple[list[dict], Curv
 
 
 def _cmd_verify_sl(args) -> int:
-    if not 2 <= args.n <= 5:
-        print(f"verify-sl: --n must be in [2, 5], got {args.n}", file=sys.stderr)
+    if not 2 <= args.n <= 8:
+        print(f"verify-sl: --n must be in [2, 8], got {args.n}", file=sys.stderr)
         return 2
     if not (math.isfinite(args.tol) and args.tol > 0):
         print(f"verify-sl: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
@@ -337,7 +338,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the interpreter's
+        # final flush of what is still buffered fails silently as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -132,13 +132,18 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
     Each round of a sweep rotates disjoint pairs as one orthogonal matrix
     (Brent & Luk 1985; Golub & Van Loan, Matrix Computations, 4th ed., 8.5).
     Sweeps until the off-diagonal Frobenius mass drops to tol * |A|_F, at most
-    100 sweeps. Values come back sorted descending, vectors as matching columns.
+    100 sweeps; every threshold is relative to A, so any scale of A works.
+    Values come back sorted descending, vectors as matching columns.
     """
     a = _as_square(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("jacobi_eigh requires a finite matrix")
+    # work on A scaled by a power of two near 1 / max|a_ij|, which is exact: every
+    # threshold below is relative to A, and no norm overflows or underflows
+    scale = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    a = np.ldexp(a, -scale)
     norm = frobenius_norm(a)
-    if frobenius_norm(a - a.T) > 1e-8 * (1.0 + norm):
+    if frobenius_norm(a - a.T) > 1e-8 * norm:
         raise NonSymmetricMatrixError("jacobi_eigh requires a symmetric matrix")
     n = a.shape[0]
     work, vecs, rounds = 0.5 * (a + a.T), np.eye(n), _round_robin(n)
@@ -148,7 +153,7 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
         for p, q in zip(*rounds):
             apq = work[p, q]
             diff = work[q, q] - work[p, p]
-            # 0 or subnormal-scale next to the diagonal gap: zeroed, not rotated
+            # 0, or 1e-153 below A and the diagonal gap: zeroed, not rotated
             turn = np.abs(apq) >= 1e-153 * np.maximum(1.0, np.abs(diff))
             work[p, q] = work[q, p] = np.where(turn, apq, 0.0)
             if not turn.any():
@@ -165,7 +170,7 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
             vecs = vecs @ rot
     else:
         raise JacobiConvergenceError("no convergence within 100 Jacobi sweeps")
-    values = np.diag(work).copy()
+    values = np.ldexp(np.diag(work), scale)
     order = np.argsort(-values, kind="stable")
     return EigenSpectrum(values=values[order], vectors=vecs[:, order])
 

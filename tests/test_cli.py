@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -27,10 +28,18 @@ class TestVerifySL:
 
     def test_n1_usage_error(self, capsys):
         assert main(["verify-sl", "--n", "1"]) == 2
-        assert "must be in [2, 5]" in capsys.readouterr().err
+        assert "must be in [2, 8]" in capsys.readouterr().err
 
-    def test_n6_usage_error(self):
-        assert main(["verify-sl", "--n", "6"]) == 2
+    def test_n9_usage_error(self):
+        assert main(["verify-sl", "--n", "9"]) == 2
+
+    def test_n8_closed_forms(self, capsys):
+        assert main(["verify-sl", "--n", "8", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is True
+        assert [c["multiplicity"] for c in doc["curvatures"]] == [35, 28]
+        for curvature, kappa in zip(doc["curvatures"], (8**-0.5, -(8**-0.5))):
+            assert curvature["value"] == pytest.approx(kappa, abs=1e-12)
 
     def test_bad_tolerance(self):
         for tol in ("-1", "nan", "inf"):
@@ -152,8 +161,8 @@ class TestAnalyze:
         assert main(["analyze", "--builtin", "sl", "--n", "2", "--point", "1,0,0"]) == 2
 
     def test_oversized_builtin_n(self, capsys):
-        point = ",".join(["1"] * 49)
-        assert main(["analyze", "--builtin", "sl", "--n", "7", "--point", point]) == 2
+        point = ",".join(["1"] * 81)
+        assert main(["analyze", "--builtin", "sl", "--n", "9", "--point", point]) == 2
         assert "determinant_field" in capsys.readouterr().err
 
     def test_pole_at_point(self, capsys):
@@ -249,3 +258,20 @@ class TestJsonContract:
         )
         assert proc.returncode == 0
         assert "SL(2) curvature at the identity" in proc.stdout
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # stdout is a pipe whose reader is already gone, as under `| head`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "slcurv.cli", "analyze", "--builtin", "sl", "--n", "2",
+                 "--point=-1,0,0,-1", "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""

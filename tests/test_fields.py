@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from slcurv.autodiff import HyperDual
+from slcurv.autodiff import HyperDual, _jet
 from slcurv.fields import (
     _MAX_DEPTH,
     _MAX_EXPONENT,
     ParseError,
+    ScalarField,
     determinant_field,
     evaluate,
     parse_expression,
@@ -13,6 +14,41 @@ from slcurv.fields import (
     sphere_field,
 )
 from slcurv.linalg import det_inverse
+from slcurv.slgroup import random_sl
+
+
+def laplace_det(a, n, rows, cols):
+    """The recursive Laplace expansion along the first row that the minor table
+    replaced, which recomputes shared minors; kept as the bitwise reference."""
+    if len(rows) == 1:
+        return a[rows[0] * n + cols[0]]
+    acc = None
+    for j, c in enumerate(cols):
+        term = a[rows[0] * n + c] * laplace_det(a, n, rows[1:], cols[:j] + cols[j + 1 :])
+        if acc is None:
+            acc = term
+        elif j % 2 == 0:
+            acc = acc + term
+        else:
+            acc = acc - term
+    return acc
+
+
+class Counted:
+    """A float that counts, in a shared tally, the ring multiplications made with it."""
+
+    def __init__(self, value, tally):
+        self.value, self.tally = value, tally
+
+    def __add__(self, other):
+        return Counted(self.value + other.value, self.tally)
+
+    def __sub__(self, other):
+        return Counted(self.value - other.value, self.tally)
+
+    def __mul__(self, other):
+        self.tally[0] += 1
+        return Counted(self.value * other.value, self.tally)
 
 
 class TestDeterminantField:
@@ -36,7 +72,7 @@ class TestDeterminantField:
         with pytest.raises(ValueError):
             determinant_field(0)
         with pytest.raises(ValueError):
-            determinant_field(7)
+            determinant_field(9)
 
     def test_agrees_with_lu_determinant(self, rng):
         for n in (2, 3, 4, 5):
@@ -46,6 +82,27 @@ class TestDeterminantField:
                 oracle = float(field(list(a.ravel())))
                 det, _ = det_inverse(a)
                 assert det == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+
+    def test_bitwise_equal_to_laplace_recursion(self):
+        # the minor table runs the recursion's float operations in its order
+        for n in range(1, 7):
+            field = determinant_field(n)
+            idx = tuple(range(n))
+            reference = ScalarField(arity=n * n, body=lambda a: laplace_det(a, n, idx, idx))
+            for seed in range(6):
+                p = (random_sl(n, 700 + 10 * n + seed) if n > 1 else np.array([[1.0 + seed]])).ravel()
+                assert float(field(list(p))).hex() == float(reference(list(p))).hex()
+                for got, want in zip(_jet(field, p), _jet(reference, p)):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_each_minor_computed_once(self, rng):
+        # sum over k = 2..n of k * C(n, k) products, one per entry of each k x k minor
+        for n in range(2, 9):
+            tally = [0]
+            a = rng.uniform(-1, 1, size=(n, n))
+            value = determinant_field(n)([Counted(x, tally) for x in a.ravel()]).value
+            assert tally[0] == n * (2 ** (n - 1) - 1)
+            assert value == pytest.approx(np.linalg.det(a), rel=1e-10, abs=1e-12)
 
     def test_supports_n6(self, rng):
         field = determinant_field(6)

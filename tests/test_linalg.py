@@ -154,8 +154,10 @@ class TestJacobiEigh:
             assert np.all(np.diff(spec.values) <= 0)
 
     def test_non_symmetric_rejected(self):
-        with pytest.raises(NonSymmetricMatrixError):
-            jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # the symmetry gate is relative to A, at any scale
+        for scale in (1.0, 1e-10, 1e200):
+            with pytest.raises(NonSymmetricMatrixError):
+                jacobi_eigh(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_zero_matrix(self):
         spec = jacobi_eigh(np.zeros((4, 4)))
@@ -197,18 +199,31 @@ class TestJacobiEigh:
         assert [m for _, m in cluster_multiplicities(spec.values)] == [m for _, m in exact]
 
     def test_subnormal_scale_threshold(self):
-        # (2, 3) starts below 1e-153 * max(1, |diff|) and is zeroed unrotated;
-        # (0, 2) starts at it and is rotated without overflow in tau
+        # the sweeps see A / 8, so that max|a_ij| is in [0.5, 1): (2, 3) starts
+        # below 1e-153 * max(1, |diff|) there and is zeroed unrotated; (0, 2)
+        # starts above it and is rotated without overflow in tau
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         a[0, 1] = a[1, 0] = 0.5
         a[2, 3] = a[3, 2] = 3e-154
-        a[0, 2] = a[2, 0] = 2e-153
+        a[0, 2] = a[2, 0] = 2e-152
         spec = jacobi_eigh(a)
         assert np.all(np.isfinite(spec.values)) and np.all(np.isfinite(spec.vectors))
         assert_matches_eigh(a, spec)
         recon = spec.vectors @ np.diag(spec.values) @ spec.vectors.T
         assert frobenius_norm(a - recon) <= 1e-9 * frobenius_norm(a)
         assert np.max(np.abs(spec.vectors.T @ spec.vectors - np.eye(4))) <= 1e-10
+
+    @pytest.mark.parametrize("power", [-1000, -520, 520, 1000])
+    def test_spectrum_scales_exactly(self, power):
+        # no threshold is absolute, so 2^power A has the spectrum of A times
+        # 2^power, bitwise, and the same vectors: near 1e-157 (2^-520) A is not
+        # returned as its own diagonal, nor near 1e157, where |A|_F^2 overflows
+        a = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 0.5], [0.0, 0.5, 3.0]])
+        base, scaled = jacobi_eigh(a), jacobi_eigh(np.ldexp(a, power))
+        assert scaled.values.tobytes() == np.ldexp(base.values, power).tobytes()
+        assert scaled.vectors.tobytes() == base.vectors.tobytes()
+        tiny = jacobi_eigh(1e-160 * np.array([[0.0, 1.0], [1.0, 0.0]])).values
+        assert tiny == pytest.approx([1e-160, -1e-160], rel=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):

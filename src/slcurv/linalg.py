@@ -1,8 +1,11 @@
 """Small dense real linear algebra used by the curvature pipeline.
 
-Everything here targets desk scale (dimension a few dozen): LU with partial
-pivoting for determinant/inverse, a Householder-reflector complement basis,
-and a parallel-order (round-robin) Jacobi eigensolver for symmetric matrices.
+Everything here targets desk scale (dimension a few dozen): determinant and
+inverse from LAPACK's LU with partial pivoting (numpy's det and inv), a
+Householder-reflector complement basis, and a parallel-order (round-robin)
+Jacobi eigensolver for symmetric matrices. An exactly zero pivot is the only
+singularity: determinant returns 0.0, det_inverse raises SingularMatrixError,
+as it does for a non-finite inverse. A non-finite matrix is a ValueError.
 """
 
 from __future__ import annotations
@@ -11,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PIVOT_FLOOR = 1e-300  # only exact-scale underflow counts as singular
-
 
 class SingularMatrixError(ValueError):
-    """Pivot magnitude fell below the underflow floor during elimination."""
+    """LAPACK met an exactly zero pivot, or the inverse is not finite."""
 
 
 class NonSymmetricMatrixError(ValueError):
@@ -41,52 +42,36 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def _lu_factor(a: np.ndarray):
-    """Doolittle LU with partial pivoting; returns (lu, perm, sign).
+def _as_finite_square(a, caller: str) -> np.ndarray:
+    a = _as_square(a)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{caller} requires a finite matrix")
+    return a
 
-    Raises SingularMatrixError when no usable pivot remains.
-    """
-    n = a.shape[0]
-    lu = a.copy()
-    perm = np.arange(n)
-    sign = 1.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[piv, k]) < PIVOT_FLOOR:
-            raise SingularMatrixError(f"pivot below {PIVOT_FLOOR} in column {k}")
-        if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-            sign = -sign
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm, sign
+
+def _vector_norm(v) -> float:
+    """Euclidean norm of v, summed on v scaled exactly by 2^-e with 2^e near max|v_i|,
+    so it overflows or underflows only when the norm itself does."""
+    e = int(np.frexp(np.max(np.abs(v), initial=0.0))[1])
+    w = np.ldexp(v, -e)
+    return float(np.ldexp(np.sqrt(w @ w), e))
 
 
 def determinant(a) -> float:
-    """Determinant via LU; a vanishing pivot column yields 0.0, not an error."""
-    a = _as_square(a)
-    try:
-        lu, _, sign = _lu_factor(a)
-    except SingularMatrixError:
-        return 0.0
-    return float(sign * np.prod(np.diag(lu)))
+    """Determinant from LAPACK's LU; an exactly zero pivot yields 0.0, not an error."""
+    return float(np.linalg.det(_as_finite_square(a, "determinant")))
 
 
 def det_inverse(a) -> tuple[float, np.ndarray]:
-    """Determinant and inverse from one LU factorization."""
-    a = _as_square(a)
-    n = a.shape[0]
-    lu, perm, sign = _lu_factor(a)
-    det = float(sign * np.prod(np.diag(lu)))
-    # solve A X = I: permute, forward-substitute L (unit diagonal), back-substitute U
-    x = np.eye(n)[perm]
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1 :] @ x[k + 1 :]
-        x[k] /= lu[k, k]
-    return det, x
+    """Determinant and inverse from LAPACK's LU; SingularMatrixError on a zero pivot."""
+    a = _as_finite_square(a, "det_inverse")
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is singular: {exc}") from None
+    if not np.all(np.isfinite(inv)):
+        raise SingularMatrixError("matrix inverse is not finite")
+    return float(np.linalg.det(a)), inv
 
 
 def frobenius_norm(a) -> float:
@@ -104,7 +89,7 @@ def complement_basis(g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         raise ValueError("complement_basis expects a vector")
-    norm = float(np.sqrt(g @ g))
+    norm = _vector_norm(g)
     if norm <= 1e-12:
         raise ValueError("cannot build a complement basis for a (near-)zero vector")
     u = g / norm
@@ -135,9 +120,7 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
     100 sweeps; every threshold is relative to A, so any scale of A works.
     Values come back sorted descending, vectors as matching columns.
     """
-    a = _as_square(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("jacobi_eigh requires a finite matrix")
+    a = _as_finite_square(a, "jacobi_eigh")
     # work on A scaled by a power of two near 1 / max|a_ij|, which is exact: every
     # threshold below is relative to A, and no norm overflows or underflows
     scale = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])

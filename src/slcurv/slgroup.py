@@ -6,8 +6,9 @@ shape operator H -> n^{-1/2} H^t on trace-zero H, the two principal
 curvatures +-n^{-1/2} with their multiplicities, and the derived
 Gauss-Kronecker and mean curvatures. Matrices are plain numpy arrays;
 preconditions (det 1, unit norm, zero trace) are enforced at the call
-boundary. Seeded samplers supply random group and rotation points for
-cross-checks against the numeric pipeline.
+boundary, and a NaN or infinite entry fails them. Seeded samplers
+supply random group and rotation points for cross-checks against the
+numeric pipeline.
 """
 
 from __future__ import annotations
@@ -46,30 +47,35 @@ class SLCurvatureSummary:
         }
 
 
-def _require_unimodular(a: np.ndarray) -> None:
-    d = determinant(a)
-    if abs(d - 1.0) > UNIMODULAR_TOL:
+# each check is written as `not (... <= tol)`, so that a NaN fails it
+def _require_unimodular(d: float) -> None:
+    if not abs(d - 1.0) <= UNIMODULAR_TOL:
         raise ValueError(f"matrix determinant {d!r} is not 1 within {UNIMODULAR_TOL}")
 
 
 def _require_trace_zero(h: np.ndarray) -> None:
-    if abs(float(np.trace(h))) > 1e-9 * (1.0 + frobenius_norm(h)):
-        raise ValueError("matrix is not trace-zero, so it is not tangent at the identity")
+    # an infinite entry makes the bound infinite, so finiteness is checked too
+    bound = 1e-9 * (1.0 + frobenius_norm(h))
+    if not (np.all(np.isfinite(h)) and abs(float(np.trace(h))) <= bound):
+        raise ValueError("matrix must be finite and trace-zero to be tangent at the identity")
+
+
+def _require_unit_norm(u: np.ndarray, caller: str) -> None:
+    if not abs(frobenius_norm(u) - 1.0) <= UNIT_NORM_TOL:
+        raise ValueError(f"{caller} expects a unit-Frobenius-norm matrix")
 
 
 def gauss_map(a) -> np.ndarray:
-    """Unit normal of SL(n) at a: (a^{-1})^t / |a^{-1}|_F."""
-    a = _as_square(a)
-    _require_unimodular(a)
-    _, inv = det_inverse(a)
+    """Unit normal of SL(n) at a: (a^{-1})^t / |a^{-1}|_F; det 1 is read off det_inverse."""
+    d, inv = det_inverse(a)
+    _require_unimodular(d)
     return inv.T / frobenius_norm(inv)
 
 
 def spherical_image_contains(u) -> bool:
     """Whether a unit-Frobenius-norm matrix lies in the Gauss-map image."""
     u = _as_square(u)
-    if abs(frobenius_norm(u) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("spherical_image_contains expects a unit-Frobenius-norm matrix")
+    _require_unit_norm(u, "spherical_image_contains")
     return determinant(u) > 0.0
 
 
@@ -80,8 +86,7 @@ def gauss_map_preimage(u) -> np.ndarray:
     transpose; gauss_map of the result reproduces u.
     """
     u = _as_square(u)
-    if abs(frobenius_norm(u) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("gauss_map_preimage expects a unit-Frobenius-norm matrix")
+    _require_unit_norm(u, "gauss_map_preimage")
     d = determinant(u)
     if d <= 0.0:
         raise ValueError(f"matrix determinant {d!r} is not positive, not in the spherical image")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import _jet
 from .fields import ScalarField
-from .linalg import cluster_multiplicities, complement_basis, jacobi_eigh
+from .linalg import _vector_norm, cluster_multiplicities, complement_basis, jacobi_eigh
 
 CRITICAL_GRADIENT_FLOOR = 1e-10
 TANGENCY_TOL = 1e-8
@@ -103,7 +103,7 @@ def _checked_jet(s: ImplicitHypersurface, p):
         )
     with np.errstate(over="ignore", invalid="ignore"):
         g, hess = _jet(s.field, p)
-        gnorm = float(np.sqrt(g @ g))
+        gnorm = _vector_norm(g)
     if not (math.isfinite(gnorm) and np.all(np.isfinite(hess))):
         raise CriticalPointError(
             f"gradient or Hessian is not finite (gradient magnitude {gnorm:.3e})"

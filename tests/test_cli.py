@@ -180,6 +180,14 @@ class TestAnalyze:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
+    def test_huge_gradient(self, capsys):
+        # |grad f| = 3e200: its square overflows, the norm does not
+        code = main(["analyze", "--expr", "x1^3 + x2", "--level=1e300", "--point=1e100,0", "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["normal"] == [1.0, pytest.approx(1.0 / 3e200, rel=1e-15)]
+        assert all(np.isfinite(c["value"]) for c in doc["curvatures"])
+
     @pytest.mark.parametrize(
         "spaced, joined",
         [

@@ -16,6 +16,40 @@ from slcurv.slgroup import principal_curvatures_identity
 from slcurv.surfaces import ImplicitHypersurface, weingarten_matrix
 
 
+EPS = np.finfo(float).eps
+
+
+def doolittle(a):
+    """The Python-loop Doolittle LU with partial pivoting that LAPACK's replaced,
+    kept as the reference: (determinant, inverse), raising on a pivot below 1e-300."""
+    n = a.shape[0]
+    lu, perm, sign = a.copy(), np.arange(n), 1.0
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(lu[k:, k])))
+        if abs(lu[piv, k]) < 1e-300:
+            raise SingularMatrixError(f"pivot below 1e-300 in column {k}")
+        if piv != k:
+            lu[[k, piv]] = lu[[piv, k]]
+            perm[[k, piv]] = perm[[piv, k]]
+            sign = -sign
+        lu[k + 1 :, k] /= lu[k, k]
+        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    x = np.eye(n)[perm]
+    for k in range(1, n):
+        x[k] -= lu[k, :k] @ x[:k]
+    for k in range(n - 1, -1, -1):
+        x[k] -= lu[k, k + 1 :] @ x[k + 1 :]
+        x[k] /= lu[k, k]
+    return float(sign * np.prod(np.diag(lu))), x
+
+
+def conditioned(rng, n, cond):
+    """A random n x n matrix whose singular values run geometrically from 1 to 1/cond."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q1 * np.geomspace(1.0, 1.0 / cond, n)) @ q2.T
+
+
 def assert_matches_eigh(a, spec):
     # eigenvalues within 1e-13 * max(1, max|lambda|) of LAPACK, descending
     expect = np.linalg.eigh(a)[0][::-1]
@@ -66,6 +100,56 @@ class TestDetInverse:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             det_inverse(np.ones((2, 3)))
+
+
+class TestLapackLU:
+    @pytest.mark.parametrize("cond", [None, 1e4, 1e10], ids=["uniform", "cond1e4", "cond1e10"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_doolittle_reference(self, rng, n, cond):
+        # both LUs are backward stable, so they agree within a bound that grows
+        # with n * cond(A); the measured worst is about 2 * n * eps * cond(A)
+        for _ in range(10):
+            a = rng.uniform(-1, 1, size=(n, n)) if cond is None else conditioned(rng, n, cond)
+            bound = 16 * n * EPS * np.linalg.cond(a)
+            det_ref, inv_ref = doolittle(a)
+            det, inv = det_inverse(a)
+            assert determinant(a) == det
+            assert abs(det - det_ref) <= bound * abs(det_ref)
+            assert np.max(np.abs(inv - inv_ref)) <= bound * np.max(np.abs(inv_ref))
+            assert np.max(np.abs(a @ inv - np.eye(n))) <= bound
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.zeros((3, 3)), [[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]]],
+        ids=["zero", "rank1", "rank2"],
+    )
+    def test_exactly_singular(self, a):
+        # elimination meets an exactly zero pivot
+        assert determinant(a) == 0.0
+        with pytest.raises(SingularMatrixError):
+            det_inverse(a)
+
+    def test_non_finite_inverse_is_singular(self):
+        # LAPACK factors a subnormal pivot, but its reciprocal overflows
+        with pytest.raises(SingularMatrixError, match="finite"):
+            det_inverse(1e-320 * np.eye(2))
+
+    def test_no_pivot_floor(self):
+        # a nonsingular matrix near 1e-301 is factored, and exactly: power-of-two
+        # scaling commutes with every pivot, multiplier and substitution step
+        a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.5, 1.0, 4.0]])
+        det, inv = det_inverse(np.ldexp(a, -1000))
+        assert inv.tobytes() == np.ldexp(det_inverse(a)[1], 1000).tobytes()
+        assert det == 0.0  # 2^-3000 det(A) underflows
+
+    @pytest.mark.parametrize("fn", [determinant, det_inverse])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, fn, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="finite") as info:
+            fn(a)
+        assert type(info.value) is ValueError
 
 
 def test_determinant_of_singular_is_zero():

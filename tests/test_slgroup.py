@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import slcurv.slgroup
 from slcurv.linalg import determinant, frobenius_norm
 from slcurv.slgroup import (
     curvature_summary,
@@ -41,6 +42,20 @@ class TestGaussMap:
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError, match="not 1"):
             gauss_map(np.diag([2.0, 2.0]))
+
+    def test_one_det_inverse_per_value(self, monkeypatch):
+        # the unimodular check reads the determinant that det_inverse returns
+        a = random_sl(3, 5)
+        calls = []
+        for name in ("det_inverse", "determinant"):
+
+            def counted(m, name=name, original=getattr(slcurv.slgroup, name)):
+                calls.append(name)
+                return original(m)
+
+            monkeypatch.setattr(slcurv.slgroup, name, counted)
+        gauss_map(a)
+        assert calls == ["det_inverse"]
 
     def test_unit_norm_and_positive_det(self):
         # |N(A)| = 1 and det N(A) = |A^{-1}|^{-n} > 0
@@ -289,3 +304,26 @@ class TestRandomSpecialOrthogonal:
 
     def test_deterministic(self):
         assert np.array_equal(random_special_orthogonal(3, 11), random_special_orthogonal(3, 11))
+
+
+@pytest.mark.parametrize(
+    "fn, base",
+    [
+        pytest.param(fn, base, id=fn.__name__)
+        for fn, base in [
+            (gauss_map, np.eye(3)),
+            (spherical_image_contains, np.eye(3) / np.sqrt(3.0)),
+            (gauss_map_preimage, np.eye(3) / np.sqrt(3.0)),
+            (weingarten_identity, np.diag([1.0, -1.0, 0.0])),
+            (sym_skew_decompose, np.diag([1.0, -1.0, 0.0])),
+            (fundamental_forms, np.diag([1.0, -1.0, 0.0])),
+        ]
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_rejected(fn, base, bad):
+    # base meets fn's precondition; one non-finite off-diagonal entry must not
+    m = base.copy()
+    m[0, 1] = bad
+    with pytest.raises(ValueError):
+        fn(m)

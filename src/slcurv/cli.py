@@ -134,12 +134,6 @@ def run_verify_sl(n: int, tolerance: float, seed: int) -> tuple[list[dict], Curv
 
 
 def _cmd_verify_sl(args) -> int:
-    if not 2 <= args.n <= 8:
-        print(f"verify-sl: --n must be in [2, 8], got {args.n}", file=sys.stderr)
-        return 2
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print(f"verify-sl: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
-        return 2
     checks, report = run_verify_sl(args.n, args.tol, args.seed)
     all_passed = all(c["passed"] for c in checks)
     max_residual = max(c["residual"] for c in checks)
@@ -185,30 +179,15 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _cmd_analyze(args) -> int:
-    if (args.builtin is None) == (args.expr is None):
-        print("analyze: provide exactly one of --builtin or --expr", file=sys.stderr)
-        return 2
     try:
         point = _parse_point(args.point)
         if args.builtin is not None:
-            if args.n is None or args.n < 2:
-                print("analyze: --builtin sl requires --n >= 2", file=sys.stderr)
-                return 2
-            field = determinant_field(args.n)
-            level = 1.0
+            field, level = determinant_field(args.n), 1.0
             if point.size != field.arity:
-                print(
-                    f"analyze: sl with n={args.n} needs {field.arity} point coordinates, "
-                    f"got {point.size}",
-                    file=sys.stderr,
-                )
-                return 2
+                need = f"sl with n={args.n} needs {field.arity} point coordinates"
+                raise ValueError(f"{need}, got {point.size}")
         else:
-            if args.level is None:
-                print("analyze: --expr requires --level", file=sys.stderr)
-                return 2
-            field = expression_field(args.expr, arity=point.size)
-            level = args.level
+            field, level = expression_field(args.expr, arity=point.size), args.level
         surface = ImplicitHypersurface(field=field, level=level)
     except (ParseError, ValueError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
@@ -229,12 +208,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sample_image(args) -> int:
-    if args.n < 2:
-        print("sample-image: --n must be >= 2", file=sys.stderr)
-        return 2
-    if args.count < 1:
-        print("sample-image: --count must be >= 1", file=sys.stderr)
-        return 2
     dets = []
     for i in range(args.count):
         image = gauss_map(random_sl(args.n, args.seed + i))
@@ -250,9 +223,6 @@ def _cmd_sample_image(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.n < 2:
-        print("report: --n must be >= 2", file=sys.stderr)
-        return 2
     s = curvature_summary(args.n)
     print(f"SL({s.n}) curvature at the identity")
     print(f"kappa_plus       {s.kappa_plus: .12f}  multiplicity {s.mult_plus}")
@@ -260,6 +230,34 @@ def _cmd_report(args) -> int:
     print(f"gauss_kronecker  {s.gauss_kronecker: .12e}")
     print(f"mean             {s.mean: .12e}")
     return 0
+
+
+def _usage_problem(args) -> str | None:
+    """A message for the first option that is missing, misplaced or out of range, or None.
+
+    analyze leaves the cap on --n to determinant_field, whose message names it.
+    """
+    if args.command == "analyze":
+        builtin = args.builtin is not None
+        if builtin == (args.expr is not None):
+            return "provide exactly one of --builtin or --expr"
+        if builtin and args.level is not None:
+            return "--level goes with --expr; --builtin sl has level 1"
+        if builtin and (args.n is None or args.n < 2):
+            return "--builtin sl requires --n >= 2"
+        if not builtin and args.n is not None:
+            return "--n goes with --builtin; --expr takes its arity from --point"
+        if not builtin and args.level is None:
+            return "--expr requires --level"
+    elif not 2 <= args.n <= 8:
+        return f"--n must be in [2, 8], got {args.n}"
+    if getattr(args, "seed", 0) < 0:
+        return f"--seed must be >= 0, got {args.seed}"
+    if getattr(args, "count", 1) < 1:
+        return f"--count must be >= 1, got {args.count}"
+    if not 0.0 < getattr(args, "tol", 1.0) < math.inf:
+        return f"--tol must be finite and positive, got {args.tol!r}"
+    return None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -334,6 +332,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    problem = _usage_problem(args)
+    if problem is not None:
+        print(f"{args.command}: {problem}", file=sys.stderr)
+        return 2
     return args.handler(args)
 
 

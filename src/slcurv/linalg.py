@@ -1,11 +1,13 @@
 """Small dense real linear algebra used by the curvature pipeline.
 
 Everything here targets desk scale (dimension a few dozen): determinant and
-inverse from LAPACK's LU with partial pivoting (numpy's det and inv), a
-Householder-reflector complement basis, and a parallel-order (round-robin)
-Jacobi eigensolver for symmetric matrices. An exactly zero pivot is the only
-singularity: determinant returns 0.0, det_inverse raises SingularMatrixError,
-as it does for a non-finite inverse. A non-finite matrix is a ValueError.
+inverse from LAPACK's LU with partial pivoting (numpy's det and inv), the one
+Euclidean norm (frobenius_norm, for vectors and matrices, overflowing only where
+the norm does), a Householder complement basis that depends on g/|g| only and
+rejects only a zero or non-finite g, and a parallel-order (round-robin) Jacobi
+eigensolver for symmetric matrices. An exactly zero pivot is the only singularity:
+determinant returns 0.0, det_inverse raises SingularMatrixError, as it does for a
+non-finite inverse. A non-finite matrix is a ValueError.
 """
 
 from __future__ import annotations
@@ -49,12 +51,11 @@ def _as_finite_square(a, caller: str) -> np.ndarray:
     return a
 
 
-def _vector_norm(v) -> float:
-    """Euclidean norm of v, summed on v scaled exactly by 2^-e with 2^e near max|v_i|,
-    so it overflows or underflows only when the norm itself does."""
-    e = int(np.frexp(np.max(np.abs(v), initial=0.0))[1])
-    w = np.ldexp(v, -e)
-    return float(np.ldexp(np.sqrt(w @ w), e))
+def _pow2_scaled(a) -> tuple[np.ndarray, int]:
+    """(a * 2^-e, e) with 2^e the power of two just above max|a_ij|: exact while
+    the entries stay normal, and the largest scaled entry lies in [0.5, 1)."""
+    e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    return np.ldexp(a, -e), e
 
 
 def determinant(a) -> float:
@@ -75,24 +76,33 @@ def det_inverse(a) -> tuple[float, np.ndarray]:
 
 
 def frobenius_norm(a) -> float:
-    """Euclidean norm of the flattened entries."""
-    a = np.asarray(a, dtype=float)
-    return float(np.sqrt(np.sum(a * a)))
+    """Euclidean norm of a vector's or a matrix's entries. It overflows or underflows only
+    when the norm does: a sum of squares outside [2^-960, 2^960] is summed again on the
+    entries scaled by an exact power of two (J. L. Blue, ACM TOMS 4(1), 1978)."""
+    v = np.asarray(a, dtype=float).ravel()
+    with np.errstate(over="ignore"):
+        squares = v @ v
+    if 2.0**-960 <= squares <= 2.0**960:
+        return float(np.sqrt(squares))
+    w, e = _pow2_scaled(v)
+    return float(np.ldexp(np.sqrt(w @ w), e))
 
 
 def complement_basis(g) -> np.ndarray:
     """Orthonormal basis of the hyperplane orthogonal to g, as N x (N-1) columns.
 
     Columns 1..N-1 of the Householder reflector that maps g/|g| onto the
-    first coordinate axis. Deterministic for fixed g.
+    first coordinate axis. It depends on g/|g| only, so 2^k g gives the same
+    basis bitwise; a zero or non-finite g is a ValueError.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         raise ValueError("complement_basis expects a vector")
-    norm = _vector_norm(g)
-    if norm <= 1e-12:
-        raise ValueError("cannot build a complement basis for a (near-)zero vector")
-    u = g / norm
+    w = _pow2_scaled(g)[0]
+    norm = frobenius_norm(w)
+    if not 0.0 < norm < np.inf:
+        raise ValueError("cannot build a complement basis for a zero or non-finite vector")
+    u = w / norm
     v = u.copy()
     v[0] += 1.0 if u[0] >= 0.0 else -1.0
     refl = np.eye(g.size) - np.outer(v, v) * (2.0 / (v @ v))
@@ -123,8 +133,7 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
     a = _as_finite_square(a, "jacobi_eigh")
     # work on A scaled by a power of two near 1 / max|a_ij|, which is exact: every
     # threshold below is relative to A, and no norm overflows or underflows
-    scale = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
-    a = np.ldexp(a, -scale)
+    a, scale = _pow2_scaled(a)
     norm = frobenius_norm(a)
     if frobenius_norm(a - a.T) > 1e-8 * norm:
         raise NonSymmetricMatrixError("jacobi_eigh requires a symmetric matrix")

@@ -13,7 +13,7 @@ numeric pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,15 +36,7 @@ class SLCurvatureSummary:
     mean: float
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kappa_plus": self.kappa_plus,
-            "mult_plus": self.mult_plus,
-            "kappa_minus": self.kappa_minus,
-            "mult_minus": self.mult_minus,
-            "gauss_kronecker": self.gauss_kronecker,
-            "mean": self.mean,
-        }
+        return asdict(self)
 
 
 # each check is written as `not (... <= tol)`, so that a NaN fails it
@@ -82,18 +74,15 @@ def spherical_image_contains(u) -> bool:
 def gauss_map_preimage(u) -> np.ndarray:
     """The SL(n) point whose Gauss map is u.
 
-    Rescales u by det(u)^{-1/n} to land on det = 1, then inverts the
-    transpose; gauss_map of the result reproduces u.
+    det(u)^{1/n} (u^t)^{-1}: u rescaled onto det = 1 and inverse-transposed, from
+    one LU of u^t; gauss_map of the result reproduces u.
     """
     u = _as_square(u)
     _require_unit_norm(u, "gauss_map_preimage")
-    d = determinant(u)
+    d, inv = det_inverse(u.T)
     if d <= 0.0:
         raise ValueError(f"matrix determinant {d!r} is not positive, not in the spherical image")
-    n = u.shape[0]
-    c = d ** (-1.0 / n) * u
-    _, b = det_inverse(c.T)
-    return b
+    return d ** (1.0 / u.shape[0]) * inv
 
 
 def weingarten_identity(h) -> np.ndarray:
@@ -121,16 +110,12 @@ def principal_curvatures_identity(n: int) -> list[tuple[float, int]]:
 
 def curvature_summary(n: int) -> SLCurvatureSummary:
     """All exact curvature scalars of SL(n) at the identity."""
-    if n < 2:
-        raise ValueError("curvature summary is defined for n >= 2")
-    mult_plus = (n * n + n - 2) // 2
-    mult_minus = (n * n - n) // 2
-    kappa = n ** -0.5
+    (kappa_plus, mult_plus), (kappa_minus, mult_minus) = principal_curvatures_identity(n)
     return SLCurvatureSummary(
         n=n,
-        kappa_plus=kappa,
+        kappa_plus=kappa_plus,
         mult_plus=mult_plus,
-        kappa_minus=-kappa,
+        kappa_minus=kappa_minus,
         mult_minus=mult_minus,
         gauss_kronecker=(-1.0) ** mult_minus * float(n) ** (-(n * n - 1) / 2.0),
         mean=1.0 / (np.sqrt(n) * (n + 1)),

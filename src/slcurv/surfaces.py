@@ -18,7 +18,8 @@ import numpy as np
 
 from .autodiff import _jet
 from .fields import ScalarField
-from .linalg import _vector_norm, cluster_multiplicities, complement_basis, jacobi_eigh
+from .linalg import _pow2_scaled, cluster_multiplicities, complement_basis, frobenius_norm
+from .linalg import jacobi_eigh
 
 CRITICAL_GRADIENT_FLOOR = 1e-10
 TANGENCY_TOL = 1e-8
@@ -103,7 +104,7 @@ def _checked_jet(s: ImplicitHypersurface, p):
         )
     with np.errstate(over="ignore", invalid="ignore"):
         g, hess = _jet(s.field, p)
-        gnorm = _vector_norm(g)
+        gnorm = frobenius_norm(g)
     if not (math.isfinite(gnorm) and np.all(np.isfinite(hess))):
         raise CriticalPointError(
             f"gradient or Hessian is not finite (gradient magnitude {gnorm:.3e})"
@@ -113,12 +114,14 @@ def _checked_jet(s: ImplicitHypersurface, p):
     return p, g, gnorm, hess
 
 
-def _tangent(v, g: np.ndarray, gnorm: float, what: str) -> np.ndarray:
+def _tangent(v, normal: np.ndarray, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != g.shape:
+    if v.shape != normal.shape:
         raise ValueError("vector dimension does not match the ambient dimension")
-    # written as <= so that a NaN vector counts as not tangent
-    if not abs(float(v @ g)) <= TANGENCY_TOL * float(np.sqrt(v @ v)) * gnorm:
+    # on v scaled to max|w_i| in [0.5, 1), so that nothing overflows
+    w = _pow2_scaled(v)[0]
+    finite = np.all(np.isfinite(v))
+    if not (finite and abs(float(w @ normal)) <= TANGENCY_TOL * frobenius_norm(w)):
         raise NonTangentVectorError(f"{what} is not tangent to the surface at p")
     return v
 
@@ -159,8 +162,8 @@ def weingarten_apply(s: ImplicitHypersurface, p, v) -> np.ndarray:
 
 
 def _apply_at(g, gnorm, hess, v) -> np.ndarray:
-    v = _tangent(v, g, gnorm, "vector")
     normal = g / gnorm
+    v = _tangent(v, normal, "vector")
     hv = hess @ v
     return -(hv - normal * float(normal @ hv)) / gnorm
 
@@ -168,7 +171,7 @@ def _apply_at(g, gnorm, hess, v) -> np.ndarray:
 def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
     """Bilinear form <L(v), w> on tangent vectors; symmetric in (v, w)."""
     _, g, gnorm, hess = _checked_jet(s, p)
-    w = _tangent(w, g, gnorm, "second argument")
+    w = _tangent(w, g / gnorm, "second argument")
     return float(_apply_at(g, gnorm, hess, v) @ w)
 
 

@@ -61,6 +61,10 @@ class TestVerifySL:
             assert check["passed"] and check["residual"] <= check["tolerance"]
         assert sum(c["multiplicity"] for c in doc["curvatures"]) == 8
 
+    def test_negative_seed_usage_error(self, capsys):
+        assert main(["verify-sl", "--n", "2", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "verify-sl: --seed must be >= 0, got -1\n"
+
     def test_deterministic_given_seed(self, capsys):
         main(["verify-sl", "--n", "2", "--seed", "123", "--json"])
         first = capsys.readouterr().out
@@ -215,6 +219,21 @@ class TestAnalyze:
         assert results[0] == results[1]
         assert results[0][0] == 0 and results[0][1] != ""
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--builtin", "sl", "--n", "2", "--point", "1,0,0,1", "--level", "nan"], "--level"),
+            (["--builtin", "sl", "--n", "2", "--point", "1,0,0,1", "--level", "1"], "--level"),
+            (["--expr", "x1^2 + x2^2", "--level", "1", "--point", "1,0", "--n", "7"], "--n"),
+        ],
+    )
+    def test_option_that_does_not_apply(self, capsys, argv, option):
+        # --level belongs to --expr and --n to --builtin; neither is silently ignored
+        assert main(["analyze", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"analyze: {option} ") and len(captured.err.splitlines()) == 1
+
     def test_text_output(self, capsys):
         assert main(["analyze", "--builtin", "sl", "--n", "2", "--point", "1,0,0,1"]) == 0
         out = capsys.readouterr().out
@@ -234,6 +253,17 @@ class TestSampleImage:
         assert main(["sample-image", "--n", "1", "--count", "5"]) == 2
         assert main(["sample-image", "--n", "3", "--count", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "3", "--count", "5", "--seed", "-5"], ["--n", "9", "--count", "1"],
+         ["--n", "10000000000", "--count", "1"]],
+        ids=["negative-seed", "n9", "huge-n"],
+    )
+    def test_out_of_range_is_one_line(self, capsys, argv):
+        assert main(["sample-image", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+
 
 class TestReport:
     def test_table(self, capsys):
@@ -245,6 +275,14 @@ class TestReport:
 
     def test_usage_error(self):
         assert main(["report", "--n", "0"]) == 2
+
+    @pytest.mark.parametrize("n", ["9", "22", "1" + "0" * 160], ids=["9", "22", "1e160"])
+    def test_n_above_cap(self, capsys, n):
+        # n = 22 would print a Gauss-Kronecker curvature that underflows to -0.0
+        assert main(["report", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"report: --n must be in [2, 8], got {n}\n"
 
 
 class TestJsonContract:

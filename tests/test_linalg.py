@@ -205,6 +205,17 @@ class TestComplementBasis:
         with pytest.raises(ValueError):
             complement_basis(np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_vector_rejected(self, bad):
+        # rather than a basis of NaN columns
+        with pytest.raises(ValueError, match="non-finite"):
+            complement_basis(np.array([bad, 0.0, 0.0]))
+
+    def test_no_absolute_floor(self):
+        # a tiny g is a direction like any other
+        g = np.array([3.0, -4.0, 12.0])
+        assert complement_basis(1e-300 * g) == pytest.approx(complement_basis(g), abs=1e-15)
+
 
 class TestJacobiEigh:
     def test_diagonal(self):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from slcurv.fields import quadric_field, sphere_field
+from slcurv.linalg import complement_basis, determinant, frobenius_norm
+from slcurv.slgroup import gauss_map
 from slcurv.surfaces import ImplicitHypersurface, curvature_report
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -26,3 +28,50 @@ def test_report_invariant_under_power_of_two_field_scaling(k, seed):
     assert scaled.curvatures == base.curvatures
     assert scaled.gauss_kronecker.hex() == base.gauss_kronecker.hex()
     assert scaled.mean.hex() == base.mean.hex()
+
+
+def normal_entries(seed):
+    """A seeded vector or square matrix whose nonzero entries lie in [2^-20, 2] in
+    magnitude, so that every 2^k multiple with |k| <= 1000 stays normal."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 9))
+    shape = (m,) if rng.integers(2) else (m, m)
+    a = rng.choice([-1.0, 1.0], size=shape) * np.exp2(rng.uniform(-20.0, 1.0, size=shape))
+    return np.where(rng.uniform(size=shape) < 0.2, 0.0, a)
+
+
+# the norm of 2^k a is the norm of a times 2^k, bitwise: a sum of squares that
+# overflows (k >= about 510) or underflows (k <= about -500) is not the result
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.integers(-1000, 1000), st.integers(0, 2**32 - 1))
+@hypothesis.example(600, 0)
+@hypothesis.example(-600, 0)
+def test_frobenius_norm_scales_exactly(k, seed):
+    a = normal_entries(seed)
+    assert frobenius_norm(np.ldexp(a, k)).hex() == float(np.ldexp(frobenius_norm(a), k)).hex()
+
+
+# complement_basis depends on g/|g| only, so any 2^k g gives the same columns bitwise
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.integers(-1000, 1000), st.integers(0, 2**32 - 1))
+@hypothesis.example(-1000, 0)
+@hypothesis.example(1000, 0)
+def test_complement_basis_depends_on_direction_only(k, seed):
+    g = normal_entries(seed).ravel()
+    hypothesis.assume(g.size >= 2 and np.any(g != 0.0))
+    assert complement_basis(np.ldexp(g, k)).tobytes() == complement_basis(g).tobytes()
+
+
+# diag(2^k, 2^-k) is in SL(2) and |A^{-1}|_F = 2^k (1 + 2^-4k)^{1/2} stays finite;
+# det of the image, about 2^-2k, is representable in float64 only for k <= 537
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.integers(0, 1000))
+@hypothesis.example(512)
+@hypothesis.example(537)
+@hypothesis.example(1000)
+def test_gauss_map_of_extreme_diagonal(k):
+    image = gauss_map(np.diag([2.0**k, 2.0**-k]))
+    assert abs(frobenius_norm(image) - 1.0) <= 1e-15
+    assert np.all(image >= 0.0)
+    if k <= 537:
+        assert determinant(image) > 0.0

@@ -124,6 +124,20 @@ class TestGaussMapPreimage:
         with pytest.raises(ValueError, match="unit"):
             gauss_map_preimage(np.eye(2))
 
+    def test_one_det_inverse_per_value(self, monkeypatch):
+        # det(u) and (u^t)^{-1} come from one factorization of u^t
+        u = gauss_map(random_sl(3, 5))
+        calls = []
+        for name in ("det_inverse", "determinant"):
+
+            def counted(m, name=name, original=getattr(slcurv.slgroup, name)):
+                calls.append(name)
+                return original(m)
+
+            monkeypatch.setattr(slcurv.slgroup, name, counted)
+        gauss_map_preimage(u)
+        assert calls == ["det_inverse"]
+
 
 class TestWeingartenIdentity:
     def test_e12(self):
@@ -162,6 +176,14 @@ class TestWeingartenIdentity:
     def test_nonzero_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             weingarten_identity(np.eye(2))
+
+    def test_huge_trace_rejected(self):
+        # |h|_F^2 overflows at this scale, so the bound must not come out infinite
+        for fn in (weingarten_identity, sym_skew_decompose, fundamental_forms):
+            with pytest.raises(ValueError, match="trace-zero"):
+                fn(2.0**600 * np.eye(2))
+        h = 2.0**600 * np.diag([1.0, -1.0])
+        assert np.array_equal(weingarten_identity(h), h / np.sqrt(2.0))
 
 
 class TestSymSkewDecompose:

@@ -157,6 +157,18 @@ class TestWeingartenApply:
             with pytest.raises(NonTangentVectorError):
                 weingarten_apply(sl_surface(2), np.eye(2).ravel(), v)
 
+    def test_tangency_gate_is_scale_free(self):
+        # |v|^2 overflows at 1e160; the gate reads the direction of v, not its size
+        surface, p = ImplicitHypersurface(field=sphere_field(3), level=1.0), [1.0, 0.0, 0.0]
+        tangent = np.array([0.0, 1e160, -1e160])
+        assert np.array_equal(weingarten_apply(surface, p, tangent), -tangent)
+        assert np.array_equal(weingarten_apply(surface, p, np.zeros(3)), np.zeros(3))
+        for v in ([1e160, 1e160, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+            with pytest.raises(NonTangentVectorError):
+                weingarten_apply(surface, p, v)
+            with pytest.raises(NonTangentVectorError):
+                second_fundamental_form(surface, p, tangent, v)
+
     def test_matches_transpose_rule(self, rng):
         # Weingarten map of SL(n) at the identity sends vec(H) to n^{-1/2} vec(H^t)
         for n in (2, 3):

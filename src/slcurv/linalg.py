@@ -8,10 +8,17 @@ rejects only a zero or non-finite g, and a parallel-order (round-robin) Jacobi
 eigensolver for symmetric matrices. An exactly zero pivot is the only singularity:
 determinant returns 0.0, det_inverse raises SingularMatrixError, as it does for a
 non-finite inverse. A non-finite matrix is a ValueError.
+
+determinant, det_inverse and frobenius_norm also take a stack of matrices, shape
+(..., n, n) with ndim >= 3, and then return one value per matrix; each equals the
+call on that matrix alone bitwise, because the stack runs the same LAPACK routine
+or BLAS dot on every matrix. A stack fails as its first failing matrix fails alone.
+complement_basis and jacobi_eigh take one vector or one matrix only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,18 +44,39 @@ class EigenSpectrum:
     vectors: np.ndarray
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square(a, stack: bool = False) -> np.ndarray:
+    """a as a float square matrix, or with stack=True also as a stack (..., n, n)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def _as_finite_square(a, caller: str) -> np.ndarray:
-    a = _as_square(a)
+def _as_finite_square(a, caller: str, stack: bool = False) -> np.ndarray:
+    a = _as_square(a, stack)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{caller} requires a finite matrix")
     return a
+
+
+def _fails_per_matrix(fn):
+    """fn on a stack of matrices fails as fn fails on the first failing matrix alone.
+
+    A ValueError from a stack is traced by calling fn again on each matrix in
+    order, so the stack raises exactly what its first bad matrix raises.
+    """
+
+    @functools.wraps(fn)
+    def checked(a):
+        a = np.asarray(a, dtype=float)
+        try:
+            return fn(a)
+        except ValueError:
+            for m in a.reshape(-1, *a.shape[-2:]) if a.ndim > 2 else ():
+                fn(m)
+            raise
+
+    return checked
 
 
 def _pow2_scaled(a) -> tuple[np.ndarray, int]:
@@ -58,28 +86,55 @@ def _pow2_scaled(a) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
-def determinant(a) -> float:
-    """Determinant from LAPACK's LU; an exactly zero pivot yields 0.0, not an error."""
-    return float(np.linalg.det(_as_finite_square(a, "determinant")))
+def _value(x):
+    # a float for one matrix, an array for a stack
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def det_inverse(a) -> tuple[float, np.ndarray]:
-    """Determinant and inverse from LAPACK's LU; SingularMatrixError on a zero pivot."""
-    a = _as_finite_square(a, "det_inverse")
+def determinant(a) -> float | np.ndarray:
+    """Determinant from LAPACK's LU; an exactly zero pivot yields 0.0, not an error.
+
+    A float for one matrix, an array of determinants for a stack (..., n, n).
+    """
+    return _value(np.linalg.det(_as_finite_square(a, "determinant", stack=True)))
+
+
+@_fails_per_matrix
+def det_inverse(a) -> tuple[float | np.ndarray, np.ndarray]:
+    """Determinant and inverse from LAPACK's LU; SingularMatrixError on a zero pivot.
+
+    On a stack (..., n, n): an array of determinants and the stack of inverses.
+    """
+    a = _as_finite_square(a, "det_inverse", stack=True)
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is singular: {exc}") from None
     if not np.all(np.isfinite(inv)):
         raise SingularMatrixError("matrix inverse is not finite")
-    return float(np.linalg.det(a)), inv
+    return _value(np.linalg.det(a)), inv
 
 
-def frobenius_norm(a) -> float:
+def frobenius_norm(a) -> float | np.ndarray:
     """Euclidean norm of a vector's or a matrix's entries. It overflows or underflows only
     when the norm does: a sum of squares outside [2^-960, 2^960] is summed again on the
-    entries scaled by an exact power of two (J. L. Blue, ACM TOMS 4(1), 1978)."""
-    v = np.asarray(a, dtype=float).ravel()
+    entries scaled by an exact power of two (J. L. Blue, ACM TOMS 4(1), 1978).
+
+    With ndim >= 3, an array of norms, one per trailing matrix: each row of entries is
+    squared by matmul, which runs the same BLAS dot as v @ v, and a matrix whose squares
+    fall outside the range takes the scaled path alone, so every norm is bitwise equal
+    to frobenius_norm of that matrix.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim > 2:
+        rows = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
+        with np.errstate(over="ignore"):
+            squares = (rows @ np.swapaxes(rows, -1, -2))[..., 0, 0]
+        norms = np.sqrt(squares)
+        for i in zip(*np.nonzero(~((2.0**-960 <= squares) & (squares <= 2.0**960)))):
+            norms[i] = frobenius_norm(a[i])
+        return norms
+    v = a.ravel()
     with np.errstate(over="ignore"):
         squares = v @ v
     if 2.0**-960 <= squares <= 2.0**960:

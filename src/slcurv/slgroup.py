@@ -9,15 +9,25 @@ preconditions (det 1, unit norm, zero trace) are enforced at the call
 boundary, and a NaN or infinite entry fails them. Seeded samplers
 supply random group and rotation points for cross-checks against the
 numeric pipeline.
+
+gauss_map and gauss_map_preimage also take a stack of matrices, shape
+(..., n, n), and random_sl also takes a sequence of seeds; every matrix of
+the result is bitwise equal to the call on that matrix or seed alone, and
+a stack fails as its first failing matrix fails alone. The other functions
+take one matrix only.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import _as_square, det_inverse, determinant, frobenius_norm
+from .linalg import _as_square, _fails_per_matrix, _pow2_scaled
+from .linalg import det_inverse, determinant, frobenius_norm
 
 UNIMODULAR_TOL = 1e-9
 UNIT_NORM_TOL = 1e-9
@@ -39,29 +49,51 @@ class SLCurvatureSummary:
         return asdict(self)
 
 
-# each check is written as `not (... <= tol)`, so that a NaN fails it
-def _require_unimodular(d: float) -> None:
-    if not abs(d - 1.0) <= UNIMODULAR_TOL:
+def _per_matrix(x):
+    """x with two unit axes appended, so one value per matrix broadcasts over the stack."""
+    return np.reshape(x, np.shape(x) + (1, 1))
+
+
+def _powers(x, p: float):
+    """x ** p by the C library's pow, value by value, as for a Python float: numpy's
+    vectorized power may round otherwise, and slices must equal the single call."""
+    if np.ndim(x) == 0:
+        return x**p
+    return np.reshape([v**p for v in np.ravel(x).tolist()], np.shape(x))
+
+
+# each check is written as `not (... <= tol)`, so that a NaN fails it; on a stack,
+# _fails_per_matrix replaces the error with that of the first failing matrix alone
+def _require_unimodular(d) -> None:
+    if not np.all(abs(d - 1.0) <= UNIMODULAR_TOL):
         raise ValueError(f"matrix determinant {d!r} is not 1 within {UNIMODULAR_TOL}")
 
 
 def _require_trace_zero(h: np.ndarray) -> None:
-    # an infinite entry makes the bound infinite, so finiteness is checked too
-    bound = 1e-9 * (1.0 + frobenius_norm(h))
-    if not (np.all(np.isfinite(h)) and abs(float(np.trace(h))) <= bound):
-        raise ValueError("matrix must be finite and trace-zero to be tangent at the identity")
+    # |tr h| <= 1e-9 (1 + |h|_F) tested on h' = h 2^-e, with max|h'_ij| in [0.5, 1), as
+    # |tr h'| <= 1e-9 (2^-e + |h'|_F): the same inequality times a power of two, but no
+    # sum overflows. 2^-e is capped at 2^1023, which still accepts any trace of such an h'
+    if np.all(np.isfinite(h)):
+        w, e = _pow2_scaled(h)
+        if abs(float(np.trace(w))) <= 1e-9 * (math.ldexp(1.0, min(-e, 1023)) + frobenius_norm(w)):
+            return
+    raise ValueError("matrix must be finite and trace-zero to be tangent at the identity")
 
 
 def _require_unit_norm(u: np.ndarray, caller: str) -> None:
-    if not abs(frobenius_norm(u) - 1.0) <= UNIT_NORM_TOL:
+    if not np.all(abs(frobenius_norm(u) - 1.0) <= UNIT_NORM_TOL):
         raise ValueError(f"{caller} expects a unit-Frobenius-norm matrix")
 
 
+@_fails_per_matrix
 def gauss_map(a) -> np.ndarray:
-    """Unit normal of SL(n) at a: (a^{-1})^t / |a^{-1}|_F; det 1 is read off det_inverse."""
+    """Unit normal of SL(n) at a: (a^{-1})^t / |a^{-1}|_F; det 1 is read off det_inverse.
+
+    On a stack (..., n, n), the unit normal at each matrix.
+    """
     d, inv = det_inverse(a)
     _require_unimodular(d)
-    return inv.T / frobenius_norm(inv)
+    return np.swapaxes(inv, -1, -2) / _per_matrix(frobenius_norm(inv))
 
 
 def spherical_image_contains(u) -> bool:
@@ -71,18 +103,19 @@ def spherical_image_contains(u) -> bool:
     return determinant(u) > 0.0
 
 
+@_fails_per_matrix
 def gauss_map_preimage(u) -> np.ndarray:
-    """The SL(n) point whose Gauss map is u.
+    """The SL(n) point whose Gauss map is u, or one per matrix of a stack (..., n, n).
 
     det(u)^{1/n} (u^t)^{-1}: u rescaled onto det = 1 and inverse-transposed, from
     one LU of u^t; gauss_map of the result reproduces u.
     """
-    u = _as_square(u)
+    u = _as_square(u, stack=True)
     _require_unit_norm(u, "gauss_map_preimage")
-    d, inv = det_inverse(u.T)
-    if d <= 0.0:
+    d, inv = det_inverse(np.swapaxes(u, -1, -2))
+    if not np.all(d > 0.0):
         raise ValueError(f"matrix determinant {d!r} is not positive, not in the spherical image")
-    return d ** (1.0 / u.shape[0]) * inv
+    return _per_matrix(_powers(d, 1.0 / u.shape[-1])) * inv
 
 
 def weingarten_identity(h) -> np.ndarray:
@@ -97,7 +130,8 @@ def sym_skew_decompose(h) -> tuple[np.ndarray, np.ndarray]:
     """Split a trace-zero matrix into (trace-zero symmetric, skew-symmetric)."""
     h = _as_square(h)
     _require_trace_zero(h)
-    return 0.5 * (h + h.T), 0.5 * (h - h.T)
+    # halved before the sum, so that no sum of entries overflows
+    return 0.5 * h + 0.5 * h.T, 0.5 * h - 0.5 * h.T
 
 
 def principal_curvatures_identity(n: int) -> list[tuple[float, int]]:
@@ -136,26 +170,34 @@ def fundamental_forms(h) -> tuple[float, float]:
     return first, second
 
 
-def random_sl(n: int, seed: int) -> np.ndarray:
+def random_sl(n: int, seed: int | Sequence[int]) -> np.ndarray:
     """Seeded random SL(n) matrix: uniform entries, rescaled onto det = 1.
 
     Resamples while |det| < 0.05 so the det^{-1/n} rescaling stays
     well-conditioned; a negative determinant is fixed by negating row 0.
+    A sequence of k seeds gives a (k, n, n) stack whose slice i is
+    random_sl(n, seeds[i]): each seed draws from its own generator, and one
+    determinant call per round checks every draw still pending.
     """
     if n < 2:
         raise ValueError("random_sl is defined for n >= 2")
-    rng = np.random.default_rng(seed)
+    single = isinstance(seed, numbers.Integral)
+    rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
+    a, d = np.empty((len(rngs), n, n)), np.empty(len(rngs))
+    pending = np.arange(len(rngs))
     for _ in range(1000):
-        a = rng.uniform(-1.0, 1.0, size=(n, n))
-        d = determinant(a)
-        if abs(d) >= 0.05:
+        for i in pending:
+            a[i] = rngs[i].uniform(-1.0, 1.0, size=(n, n))
+        d[pending] = determinant(a[pending])
+        pending = pending[np.abs(d[pending]) < 0.05]
+        if pending.size == 0:
             break
     else:
         raise RuntimeError("random_sl failed to draw a usable matrix in 1000 attempts")
-    if d < 0.0:
-        a[0] = -a[0]
-        d = -d
-    return a * d ** (-1.0 / n)
+    negative = d < 0.0
+    a[negative, 0] = -a[negative, 0]
+    a *= _per_matrix(_powers(np.abs(d), -1.0 / n))
+    return a[0] if single else a
 
 
 def random_special_orthogonal(n: int, seed: int) -> np.ndarray:

@@ -114,16 +114,26 @@ def _checked_jet(s: ImplicitHypersurface, p):
     return p, g, gnorm, hess
 
 
-def _tangent(v, normal: np.ndarray, what: str) -> np.ndarray:
+def _tangent(v, normal: np.ndarray, what: str) -> tuple[np.ndarray, int]:
+    """(v 2^-e, e) for a tangent vector v, scaled so that max|v_i 2^-e| lies in [0.5, 1)."""
     v = np.asarray(v, dtype=float)
     if v.shape != normal.shape:
         raise ValueError("vector dimension does not match the ambient dimension")
-    # on v scaled to max|w_i| in [0.5, 1), so that nothing overflows
-    w = _pow2_scaled(v)[0]
+    # tested on the scaled v, so that nothing overflows
+    w, e = _pow2_scaled(v)
     finite = np.all(np.isfinite(v))
     if not (finite and abs(float(w @ normal)) <= TANGENCY_TOL * frobenius_norm(w)):
         raise NonTangentVectorError(f"{what} is not tangent to the surface at p")
-    return v
+    return w, e
+
+
+def _scaled_back(x, e: int):
+    """x 2^e; OverflowError where that is out of range, not an inf or a NaN."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(x, e)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("the shape operator's value is out of floating-point range")
+    return out
 
 
 def _local_frame(s: ImplicitHypersurface, p):
@@ -156,23 +166,30 @@ def weingarten_apply(s: ImplicitHypersurface, p, v) -> np.ndarray:
     """Shape operator applied to a tangent vector, as an ambient vector.
 
     Computes -(I - N N^t) H v / |grad f|, which stays in the tangent space.
+    It is computed on v scaled by an exact power of two and scaled back, so a
+    large v gives its finite result; a result out of range is an OverflowError.
     """
     _, g, gnorm, hess = _checked_jet(s, p)
-    return _apply_at(g, gnorm, hess, v)
+    return _scaled_back(*_apply_scaled(g, gnorm, hess, v))
 
 
-def _apply_at(g, gnorm, hess, v) -> np.ndarray:
+def _apply_scaled(g, gnorm, hess, v) -> tuple[np.ndarray, int]:
+    # (L(v) 2^-e, e): every step below commutes with the exact scaling of v
     normal = g / gnorm
-    v = _tangent(v, normal, "vector")
-    hv = hess @ v
-    return -(hv - normal * float(normal @ hv)) / gnorm
+    w, e = _tangent(v, normal, "vector")
+    hw = hess @ w
+    return -(hw - normal * float(normal @ hw)) / gnorm, e
 
 
 def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
-    """Bilinear form <L(v), w> on tangent vectors; symmetric in (v, w)."""
+    """Bilinear form <L(v), w> on tangent vectors; symmetric in (v, w).
+
+    A value out of floating-point range is an OverflowError.
+    """
     _, g, gnorm, hess = _checked_jet(s, p)
-    w = _tangent(w, g / gnorm, "second argument")
-    return float(_apply_at(g, gnorm, hess, v) @ w)
+    w, ew = _tangent(w, g / gnorm, "second argument")
+    lv, ev = _apply_scaled(g, gnorm, hess, v)
+    return float(_scaled_back(lv @ w, ev + ew))
 
 
 def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> CurvatureReport:

@@ -7,8 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from slcurv.cli import main, report_to_dict
+import slcurv.cli
+import slcurv.slgroup
+from slcurv.cli import main, report_to_dict, run_verify_sl
 from slcurv.fields import determinant_field
+from slcurv.linalg import determinant
+from slcurv.slgroup import gauss_map, gauss_map_preimage, random_sl
 from slcurv.surfaces import ImplicitHypersurface, curvature_report
 
 REPORT_KEYS = {"point", "normal", "curvatures", "gauss_kronecker", "mean", "weingarten"}
@@ -64,6 +68,27 @@ class TestVerifySL:
     def test_negative_seed_usage_error(self, capsys):
         assert main(["verify-sl", "--n", "2", "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "verify-sl: --seed must be >= 0, got -1\n"
+
+    def test_round_trip_is_one_stack(self, monkeypatch):
+        # one random_sl call for the 50 points, whose residual is that of single calls
+        n, seed = 3, 42
+        calls = []
+        for name in ("random_sl", "gauss_map", "gauss_map_preimage"):
+
+            def counted(*args, name=name, original=getattr(slcurv.cli, name)):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(slcurv.cli, name, counted)
+        checks, _ = run_verify_sl(n, 1e-8, seed)
+        assert calls.count("random_sl") == 1
+        assert calls.count("gauss_map") == 2 and calls.count("gauss_map_preimage") == 1
+        worst = 0.0
+        for i in range(50):
+            u = gauss_map(random_sl(n, seed + 101 * i + 1))
+            worst = max(worst, float(np.max(np.abs(gauss_map(gauss_map_preimage(u)) - u))))
+        (row,) = [c for c in checks if c["name"] == "gauss_map_roundtrip"]
+        assert row["residual"] == worst
 
     def test_deterministic_given_seed(self, capsys):
         main(["verify-sl", "--n", "2", "--seed", "123", "--json"])
@@ -248,6 +273,34 @@ class TestSampleImage:
         assert "sampled 50 Gauss-map images" in out
         assert "det range" in out
         assert "all sampled images have det > 0" in out
+
+    def test_pinned_range(self, capsys):
+        # the README example; its output is unchanged since the per-matrix loop
+        assert main(["sample-image", "--n", "3", "--count", "1000"]) == 0
+        assert "det range: min 2.103956e-04, max 1.834822e-01\n" in capsys.readouterr().out
+
+    def test_range_across_chunks_matches_single_calls(self, capsys):
+        n, seed, count = 3, 11, 2 * slcurv.cli.SAMPLE_CHUNK + 3
+        dets = [determinant(gauss_map(random_sl(n, seed + i))) for i in range(count)]
+        argv = ["sample-image", "--n", str(n), "--count", str(count), "--seed", str(seed)]
+        assert main(argv) == 0
+        assert f"det range: min {min(dets):.6e}, max {max(dets):.6e}\n" in capsys.readouterr().out
+
+    def test_one_det_inverse_per_chunk(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(a, original=slcurv.slgroup.det_inverse):
+            calls.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(slcurv.slgroup, "det_inverse", counted)
+        chunk = slcurv.cli.SAMPLE_CHUNK
+        assert main(["sample-image", "--n", "3", "--count", str(2 * chunk + 3)]) == 0
+        assert calls == [(chunk, 3, 3), (chunk, 3, 3), (3, 3, 3)]
+
+    def test_huge_seed(self, capsys):
+        assert main(["sample-image", "--n", "3", "--count", "3", "--seed", str(10**30)]) == 0
+        assert "all sampled images have det > 0" in capsys.readouterr().out
 
     def test_usage_errors(self):
         assert main(["sample-image", "--n", "1", "--count", "5"]) == 2

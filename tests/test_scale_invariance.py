@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from slcurv.fields import quadric_field, sphere_field
+import slcurv.surfaces
+from slcurv.fields import determinant_field, quadric_field, sphere_field
 from slcurv.linalg import complement_basis, determinant, frobenius_norm
-from slcurv.slgroup import gauss_map
-from slcurv.surfaces import ImplicitHypersurface, curvature_report
+from slcurv.slgroup import gauss_map, random_sl, weingarten_identity
+from slcurv.surfaces import (
+    ImplicitHypersurface,
+    curvature_report,
+    second_fundamental_form,
+    weingarten_apply,
+)
+
+from conftest import random_trace_zero
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -75,3 +83,55 @@ def test_gauss_map_of_extreme_diagonal(k):
     assert np.all(image >= 0.0)
     if k <= 537:
         assert determinant(image) > 0.0
+
+
+def old_trace_verdict(h):
+    # the documented bound |tr h| <= 1e-9 (1 + |h|_F), as the unscaled test reads it
+    return abs(float(np.trace(h))) <= 1e-9 * (1.0 + frobenius_norm(h))
+
+
+# testing the bound on h scaled by a power of two multiplies both sides by it,
+# exactly, so every verdict away from overflow and underflow stays the same
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.integers(2, 6), st.integers(0, 2**32 - 1), st.integers(-500, 500), st.floats(0.0, 2.0)
+)
+@hypothesis.example(2, 0, 0, 1.0)
+def test_trace_verdict_unchanged(n, seed, k, ratio):
+    h = np.ldexp(random_trace_zero(n, np.random.default_rng(seed)), k)
+    # a trace near the bound, on both sides of it
+    h[0, 0] += ratio * 1e-9 * (1.0 + frobenius_norm(h))
+    try:
+        weingarten_identity(h)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == old_trace_verdict(h)
+
+
+def unscaled_apply(g, gnorm, hess, v):
+    # the shape operator on v as written before v was scaled: -(I - N N^t) H v / |grad f|
+    normal = g / gnorm
+    hv = hess @ v
+    return -(hv - normal * float(normal @ hv)) / gnorm
+
+
+# the shape operator works on v scaled by a power of two and scales back exactly, so
+# an ordinary v gets the unscaled formula's result bitwise, and 2^k v gets 2^k times it
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(-400, 400))
+@hypothesis.example(3, 0, 400)
+def test_shape_operator_on_scaled_vectors(n, seed, k):
+    surface = ImplicitHypersurface(field=determinant_field(n), level=1.0)
+    p = random_sl(n, seed).ravel()
+    _, g, gnorm, hess = slcurv.surfaces._checked_jet(surface, p)
+    normal = g / gnorm
+    x, y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, n * n))
+    v, w = x - (x @ normal) * normal, y - (y @ normal) * normal
+    lv = weingarten_apply(surface, p, v)
+    assert lv.tobytes() == unscaled_apply(g, gnorm, hess, v).tobytes()
+    assert weingarten_apply(surface, p, np.ldexp(v, k)).tobytes() == np.ldexp(lv, k).tobytes()
+    form = second_fundamental_form(surface, p, v, w)
+    assert form.hex() == float(unscaled_apply(g, gnorm, hess, v) @ w).hex()
+    scaled = second_fundamental_form(surface, p, np.ldexp(v, k), np.ldexp(w, -k))
+    assert scaled.hex() == form.hex()

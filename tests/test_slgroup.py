@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,15 @@ class TestWeingartenIdentity:
         assert np.array_equal(weingarten_identity(h), h / np.sqrt(2.0))
 
 
+    @pytest.mark.parametrize("fn", [weingarten_identity, sym_skew_decompose, fundamental_forms])
+    def test_overflowing_trace_rejected(self, fn):
+        # every entry is finite, but the trace 2e308 and |h|_F overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="trace-zero"):
+                fn(np.diag([1e308, 1e308, 1e308, -1e308]))
+
+
 class TestSymSkewDecompose:
     def test_e12(self):
         sym, skew = sym_skew_decompose(basis_matrix(2, 0, 1))
@@ -217,6 +228,15 @@ class TestSymSkewDecompose:
     def test_nonzero_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             sym_skew_decompose(np.eye(3))
+
+    def test_huge_entries_do_not_overflow(self):
+        # h + h^t would overflow; each half is summed instead
+        h = np.diag([1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sym, skew = sym_skew_decompose(h)
+        assert np.array_equal(sym, h)
+        assert np.array_equal(skew, np.zeros((2, 2)))
 
 
 class TestPrincipalCurvatures:

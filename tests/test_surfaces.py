@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,29 @@ class TestWeingartenApply:
                 weingarten_apply(surface, p, v)
             with pytest.raises(NonTangentVectorError):
                 second_fundamental_form(surface, p, tangent, v)
+
+    def test_huge_vector_with_finite_result(self):
+        # H v overflows, but L(v) = -v on the unit sphere does not
+        surface, p = ImplicitHypersurface(field=sphere_field(3), level=1.0), [1.0, 0.0, 0.0]
+        v = np.array([0.0, 1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(weingarten_apply(surface, p, v), -v)
+
+    def test_result_out_of_range_raises(self):
+        # L(v) = -100 v on a sphere of radius 0.01, and <L(v), v> = -1e400 on the unit sphere;
+        # the form of the same v with a small w is finite
+        small = ImplicitHypersurface(field=sphere_field(3), level=1e-4)
+        unit = ImplicitHypersurface(field=sphere_field(3), level=1.0)
+        v = np.array([0.0, 1e200, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                weingarten_apply(small, [0.01, 0.0, 0.0], [0.0, 1e308, 0.0])
+            with pytest.raises(OverflowError):
+                second_fundamental_form(unit, [1.0, 0.0, 0.0], v, v)
+            form = second_fundamental_form(unit, [1.0, 0.0, 0.0], v, 1e-200 * v)
+            assert form == pytest.approx(-1e200, rel=1e-15)
 
     def test_matches_transpose_rule(self, rng):
         # Weingarten map of SL(n) at the identity sends vec(H) to n^{-1/2} vec(H^t)

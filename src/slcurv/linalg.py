@@ -5,7 +5,10 @@ inverse from LAPACK's LU with partial pivoting (numpy's det and inv), the one
 Euclidean norm (frobenius_norm, for vectors and matrices, overflowing only where
 the norm does), a Householder complement basis that depends on g/|g| only and
 rejects only a zero or non-finite g, and a parallel-order (round-robin) Jacobi
-eigensolver for symmetric matrices. An exactly zero pivot is the only singularity:
+eigensolver for symmetric matrices. The eigensolver keeps the matrix stored so that
+each round's disjoint pairs are adjacent, which makes a round a handful of numpy calls
+on strided diagonals and one rotation that also moves the pairs of the next round
+into place. An exactly zero pivot is the only singularity:
 determinant returns 0.0, det_inverse raises SingularMatrixError, as it does for a
 non-finite inverse. A non-finite matrix is a ValueError.
 
@@ -164,16 +167,38 @@ def complement_basis(g) -> np.ndarray:
     return refl[:, 1:]
 
 
-def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p, q) index arrays, p < q, one row per round: floor(n/2) disjoint pairs.
+def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) index arrays, p < q, one row per round: the m/2 disjoint pairs of an even m.
 
-    Circle method on m = n + n % 2 indices: in round r, m - 1 meets r and
-    r + k meets r - k (mod m - 1). For odd n, m - 1 is a dummy: column k = 0 is dropped.
+    Circle method: in round r, m - 1 meets r and r + k meets r - k (mod m - 1).
     """
-    m = n + n % 2
     r, k = np.arange(m - 1)[:, None], np.arange(m // 2)
     a, b = np.where(k == 0, m - 1, (r + k) % (m - 1)), (r - k) % (m - 1)
-    return np.minimum(a, b)[:, n % 2 :], np.maximum(a, b)[:, n % 2 :]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables for Jacobi rounds on m (even) indices stored pair-adjacent.
+
+    In round r's layout, position 2k holds p and 2k + 1 holds q of the round's
+    k-th pair. Returns the index at each position of round 0's layout, and per
+    round the flat indices in an m x m rotation of its c, c, s, -s entries and
+    of the two rotated off-diagonal entries: the rotation carries round r's
+    layout into round r + 1's, and round m - 1 is round 0 again.
+    """
+    p, q = _round_robin(m)
+    order = np.stack((p, q), axis=-1).reshape(m - 1, m)
+    position = np.argsort(order, axis=1)
+    # dest[r, l]: the position in round r + 1's layout of the index at position l in round r's
+    dest = np.take_along_axis(np.roll(position, -1, axis=0), order, axis=1)
+    de, do = dest[:, 0::2], dest[:, 1::2]
+    row = np.arange(0, m, 2) * m
+    rot = np.concatenate((row + de, row + m + do, row + do, row + m + de), axis=1)
+    off = np.concatenate((de * m + do, do * m + de), axis=1)
+    for t in (order, rot, off):
+        t.flags.writeable = False
+    return order[0], rot, off
 
 
 def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
@@ -181,9 +206,14 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
 
     Each round of a sweep rotates disjoint pairs as one orthogonal matrix
     (Brent & Luk 1985; Golub & Van Loan, Matrix Computations, 4th ed., 8.5).
-    Sweeps until the off-diagonal Frobenius mass drops to tol * |A|_F, at most
-    100 sweeps; every threshold is relative to A, so any scale of A works.
-    Values come back sorted descending, vectors as matching columns.
+    The matrix is stored so that every round's pairs sit at positions (2k, 2k + 1),
+    an odd size padded with a zero row and column that is never rotated: each
+    round's rotation also permutes into the next round's layout. A pair's angle
+    is 1/2 atan2(2 a_pq sign(a_qq - a_pp), |a_qq - a_pp|), at most pi/4 in size,
+    and exactly 0 when a_pq = 0. Sweeps until the off-diagonal Frobenius mass
+    drops to tol * |A|_F, at most 100 sweeps; every threshold is relative to A,
+    so any scale of A works. Values come back sorted descending (stable, so equal
+    values keep their input order), vectors as matching columns.
     """
     a = _as_finite_square(a, "jacobi_eigh")
     # work on A scaled by a power of two near 1 / max|a_ij|, which is exact: every
@@ -193,33 +223,34 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
     if frobenius_norm(a - a.T) > 1e-8 * norm:
         raise NonSymmetricMatrixError("jacobi_eigh requires a symmetric matrix")
     n = a.shape[0]
-    work, vecs, rounds = 0.5 * (a + a.T), np.eye(n), _round_robin(n)
+    m = n + n % 2
+    order, rot_at, off_at = _pair_layout(m)
+    work = np.zeros((m, m))
+    work[:n, :n] = 0.5 * (a + a.T)
+    work, vecs = work[np.ix_(order, order)], np.eye(m)
     for _ in range(100):
         if frobenius_norm(work - np.diag(np.diag(work))) <= tol * norm:
             break
-        for p, q in zip(*rounds):
-            apq = work[p, q]
-            diff = work[q, q] - work[p, p]
-            # 0, or 1e-153 below A and the diagonal gap: zeroed, not rotated
-            turn = np.abs(apq) >= 1e-153 * np.maximum(1.0, np.abs(diff))
-            work[p, q] = work[q, p] = np.where(turn, apq, 0.0)
-            if not turn.any():
-                continue
-            p, q, tau = p[turn], q[turn], diff[turn] / (2.0 * apq[turn])
-            t = np.where(tau != 0.0, np.sign(tau), 1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rot = np.eye(n)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q], rot[q, p] = s, -s
+        for rot_r, off_r in zip(rot_at, off_at):
+            # the round's pairs are (2k, 2k + 1): a_pp, a_qq and a_pq are strided views
+            diag = np.diagonal(work)
+            diff = diag[1::2] - diag[0::2]
+            apq = np.diagonal(work, 1)[0::2]
+            theta = 0.5 * np.arctan2(apq * np.copysign(2.0, diff), np.abs(diff))
+            c, s = np.cos(theta), np.sin(theta)
+            # the 2 x 2 rotations times the permutation into the next round's layout
+            rot = np.zeros((m, m))
+            rot.flat[rot_r] = np.concatenate((c, c, s, -s))
             work = rot.T @ work @ rot
-            work[p, q] = work[q, p] = 0.0
+            work.flat[off_r] = 0.0  # the rotated pairs, at their new positions
             vecs = vecs @ rot
     else:
         raise JacobiConvergenceError("no convergence within 100 Jacobi sweeps")
-    values = np.ldexp(np.diag(work), scale)
-    order = np.argsort(-values, kind="stable")
-    return EigenSpectrum(values=values[order], vectors=vecs[:, order])
+    # back to the input's index order without the pad, then sorted
+    at = np.argsort(order)[:n]
+    values = np.ldexp(np.diagonal(work)[at], scale)
+    rank = np.argsort(-values, kind="stable")
+    return EigenSpectrum(values=values[rank], vectors=vecs[np.ix_(at, at[rank])])
 
 
 def cluster_multiplicities(values, cluster_tol: float = 1e-6) -> list[tuple[float, int]]:

@@ -80,6 +80,13 @@ def _require_trace_zero(h: np.ndarray) -> None:
     raise ValueError("matrix must be finite and trace-zero to be tangent at the identity")
 
 
+def _underflowed(d):
+    """Where a float determinant is not a positive normal number, so may have underflowed:
+    a unit-norm matrix of the spherical image can have det below 2^-1022. There the sign
+    of slogdet, whose log|det| does not underflow, decides det > 0."""
+    return ~(np.asarray(d) >= np.finfo(float).tiny)
+
+
 def _require_unit_norm(u: np.ndarray, caller: str) -> None:
     if not np.all(abs(frobenius_norm(u) - 1.0) <= UNIT_NORM_TOL):
         raise ValueError(f"{caller} expects a unit-Frobenius-norm matrix")
@@ -97,10 +104,10 @@ def gauss_map(a) -> np.ndarray:
 
 
 def spherical_image_contains(u) -> bool:
-    """Whether a unit-Frobenius-norm matrix lies in the Gauss-map image."""
+    """Whether a unit-Frobenius-norm matrix lies in the Gauss-map image: det u > 0."""
     u = _as_square(u)
     _require_unit_norm(u, "spherical_image_contains")
-    return determinant(u) > 0.0
+    return bool(not _underflowed(determinant(u)) or np.linalg.slogdet(u)[0] > 0.0)
 
 
 @_fails_per_matrix
@@ -108,14 +115,18 @@ def gauss_map_preimage(u) -> np.ndarray:
     """The SL(n) point whose Gauss map is u, or one per matrix of a stack (..., n, n).
 
     det(u)^{1/n} (u^t)^{-1}: u rescaled onto det = 1 and inverse-transposed, from
-    one LU of u^t; gauss_map of the result reproduces u.
+    one LU of u^t; gauss_map of the result reproduces u. Where the float det(u) may
+    have underflowed, det(u)^{1/n} is exp(log|det u| / n) from slogdet.
     """
     u = _as_square(u, stack=True)
     _require_unit_norm(u, "gauss_map_preimage")
-    d, inv = det_inverse(np.swapaxes(u, -1, -2))
-    if not np.all(d > 0.0):
+    ut = np.swapaxes(u, -1, -2)
+    d, inv = det_inverse(ut)
+    n, low = u.shape[-1], _underflowed(d)
+    sign, logdet = np.linalg.slogdet(ut) if np.any(low) else (1.0, 0.0)
+    if not np.all(~low | (sign > 0.0)):
         raise ValueError(f"matrix determinant {d!r} is not positive, not in the spherical image")
-    return _per_matrix(_powers(d, 1.0 / u.shape[-1])) * inv
+    return _per_matrix(np.where(low, np.exp(logdet / n), _powers(d, 1.0 / n))) * inv
 
 
 def weingarten_identity(h) -> np.ndarray:

@@ -294,9 +294,10 @@ class TestJacobiEigh:
         assert [m for _, m in cluster_multiplicities(spec.values)] == [m for _, m in exact]
 
     def test_subnormal_scale_threshold(self):
-        # the sweeps see A / 8, so that max|a_ij| is in [0.5, 1): (2, 3) starts
-        # below 1e-153 * max(1, |diff|) there and is zeroed unrotated; (0, 2)
-        # starts above it and is rotated without overflow in tau
+        # the sweeps see A / 8, so that max|a_ij| is in [0.5, 1): (2, 3) and (0, 2)
+        # start about 1e-154 and 1e-152 times their diagonal gaps, where
+        # tau = gap / (2 a_pq) would pass 1e152; the angle
+        # 1/2 atan2(2 a_pq sign(gap), |gap|) stays tiny and finite instead
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         a[0, 1] = a[1, 0] = 0.5
         a[2, 3] = a[3, 2] = 3e-154
@@ -307,6 +308,40 @@ class TestJacobiEigh:
         recon = spec.vectors @ np.diag(spec.values) @ spec.vectors.T
         assert frobenius_norm(a - recon) <= 1e-9 * frobenius_norm(a)
         assert np.max(np.abs(spec.vectors.T @ spec.vectors - np.eye(4))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+    def test_odd_size_pad_never_leaks(self, rng, n):
+        # an odd size is padded with a zero row and column; on a negative-definite
+        # matrix its 0 would be the largest value if it leaked into the output
+        b = rng.standard_normal((n, n))
+        a = -(b @ b.T + n * np.eye(n))
+        spec = jacobi_eigh(a)
+        assert spec.values.shape == (n,) and spec.vectors.shape == (n, n)
+        assert np.all(spec.values < 0.0)
+        assert_matches_eigh(a, spec)
+        assert np.max(np.abs(spec.vectors.T @ spec.vectors - np.eye(n))) <= 1e-10
+
+    def test_block_diagonal_keeps_exact_zeros(self, rng):
+        # a pair across two blocks has a_pq = 0, so its rotation is exactly the identity
+        a = np.zeros((7, 7))
+        for block in (slice(0, 3), slice(3, 7)):
+            b = rng.standard_normal((block.stop - block.start,) * 2)
+            a[block, block] = b + b.T
+        spec = jacobi_eigh(a)
+        assert_matches_eigh(a, spec)
+        upper, lower = spec.vectors[:3], spec.vectors[3:]
+        assert np.all((np.all(upper == 0.0, axis=0)) ^ (np.all(lower == 0.0, axis=0)))
+        assert np.sum(np.any(upper != 0.0, axis=0)) == 3
+
+    def test_repeated_values_keep_input_order(self):
+        # equal values come back in the input's index order, through the pair layout,
+        # while a coupled pair is rotated alongside them
+        a = np.diag([2.0, 5.0, 2.0, 5.0, 2.0, 0.0, 0.0])
+        a[5, 6] = a[6, 5] = 1.0
+        spec = jacobi_eigh(a)
+        assert np.array_equal(spec.values[:5], [5.0, 5.0, 2.0, 2.0, 2.0])
+        assert np.array_equal(spec.vectors[:, :5], np.eye(7)[:, [1, 3, 0, 2, 4]])
+        assert spec.values[5:] == pytest.approx([1.0, -1.0], abs=1e-15)
 
     @pytest.mark.parametrize("power", [-1000, -520, 520, 1000])
     def test_spectrum_scales_exactly(self, power):

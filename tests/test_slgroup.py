@@ -141,6 +141,36 @@ class TestGaussMapPreimage:
         assert calls == ["det_inverse"]
 
 
+def underflowed_image():
+    """A spherical-image point with normal entries whose float det, about 2^-1200, is 0.0."""
+    a = np.diag([2.0**400, 2.0**-400, 1.0])
+    return a, gauss_map(a)
+
+
+class TestUnderflowedDeterminant:
+    def test_contains(self):
+        # det u underflows to 0.0 (log|det u| = -831.8); slogdet's sign decides
+        _, u = underflowed_image()
+        assert determinant(u) == 0.0
+        assert spherical_image_contains(u) is True
+        assert spherical_image_contains(-u) is False  # n = 3: det(-u) < 0
+
+    def test_preimage(self):
+        a, u = underflowed_image()
+        b = gauss_map_preimage(u)
+        assert np.all(b[a == 0.0] == 0.0)
+        assert np.diag(b) / np.diag(a) == pytest.approx(np.ones(3), rel=1e-13)
+        assert np.max(np.abs(gauss_map(b) - u)) <= 1e-15
+
+    def test_subnormal_det_preimage_on_sl(self):
+        # det u is about 1.5 * 2^-1074, held as the subnormal 2^-1073: det(u)^(1/3) from
+        # it would be off by a tenth, so the root comes from log|det u| instead
+        x = 2.0**358 / 1.5 ** (1.0 / 3.0)
+        u = gauss_map(np.diag([x, 1.0 / x, 1.0]))
+        assert 0.0 < determinant(u) < np.finfo(float).tiny
+        assert determinant(gauss_map_preimage(u)) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestWeingartenIdentity:
     def test_e12(self):
         out = weingarten_identity(basis_matrix(2, 0, 1))

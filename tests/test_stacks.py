@@ -74,8 +74,15 @@ def test_gauss_maps_slices_equal_single_calls(n, seeds, k):
     images = gauss_map(a)
     assert_slices_equal(images, [gauss_map(m) for m in a])
     assert_slices_equal(gauss_map(a[None]), [images])
-    # the extreme image's determinant underflows to 0 for large k, off the spherical image
+    # the extreme image's inverse has entries near 2^2k, which overflow for large k
     u = images[:-1]
+    assert_slices_equal(gauss_map_preimage(u), [gauss_map_preimage(m) for m in u])
+
+
+def test_underflowed_det_preimage_slices_equal_single_calls():
+    # a member whose float det underflows to 0.0 among ordinary ones
+    u = gauss_map(np.stack([random_sl(3, 4), extreme_sl(3, 400), random_sl(3, 5)]))
+    assert determinant(u[1]) == 0.0
     assert_slices_equal(gauss_map_preimage(u), [gauss_map_preimage(m) for m in u])
 
 
@@ -115,6 +122,7 @@ BAD_MEMBERS = {
     "non-finite-preimage": (gauss_map_preimage, good_image(), NAN),
     "non-unit-norm": (gauss_map_preimage, good_image(), np.eye(3)),
     "negative-det": (gauss_map_preimage, good_image(), -np.eye(3) / np.sqrt(3.0)),
+    "negative-underflowed-det": (gauss_map_preimage, good_image(), -gauss_map(extreme_sl(3, 400))),
 }
 
 

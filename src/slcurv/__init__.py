@@ -4,8 +4,10 @@ Numeric pipeline: one forward-mode AD pass per point for the gradient and
 Hessian of a scalar field,
 an orthonormal tangent basis from a Householder reflector, the shape
 operator in that basis, and principal/Gauss-Kronecker/mean curvatures
-from its Jacobi eigendecomposition. The det = 1 hypersurface SL(n, R)
-comes with exact closed forms for cross-checking the whole pipeline.
+from its eigenvalues (LAPACK's symmetric eigensolver; the package's own
+Jacobi eigensolver is kept as the oracle it is tested against). The det = 1
+hypersurface SL(n, R) comes with exact closed forms, at the identity and at
+any of its points, for cross-checking the whole pipeline.
 """
 
 from .autodiff import HyperDual, gradient, hessian
@@ -35,6 +37,7 @@ from .linalg import (
 from .slgroup import (
     SLCurvatureSummary,
     curvature_summary,
+    curvatures_at,
     fundamental_forms,
     gauss_map,
     gauss_map_preimage,

@@ -4,11 +4,14 @@ Everything here targets desk scale (dimension a few dozen): determinant and
 inverse from LAPACK's LU with partial pivoting (numpy's det and inv), the one
 Euclidean norm (frobenius_norm, for vectors and matrices, overflowing only where
 the norm does), a Householder complement basis that depends on g/|g| only and
-rejects only a zero or non-finite g, and a parallel-order (round-robin) Jacobi
-eigensolver for symmetric matrices. The eigensolver keeps the matrix stored so that
-each round's disjoint pairs are adjacent, which makes a round a handful of numpy calls
-on strided diagonals and one rotation that also moves the pairs of the next round
-into place. An exactly zero pivot is the only singularity:
+rejects only a zero or non-finite g, and two symmetric eigensolvers behind one entry
+gate (finite input, exact power-of-two scaling, a relative symmetry test,
+symmetrization). The curvature pipeline takes its eigenvalues from LAPACK (numpy's
+eigvalsh, no vectors). jacobi_eigh, a parallel-order (round-robin) Jacobi solver with
+vectors, is the oracle the tests hold it to; it keeps the matrix stored so that each
+round's disjoint pairs are adjacent, which makes a round a handful of numpy calls on
+strided diagonals and one rotation that also moves the pairs of the next round into
+place. An exactly zero pivot is the only singularity:
 determinant returns 0.0, det_inverse raises SingularMatrixError, as it does for a
 non-finite inverse. A non-finite matrix is a ValueError.
 
@@ -201,6 +204,33 @@ def _pair_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order[0], rot, off
 
 
+def _symmetric_scaled(a, caller: str) -> tuple[np.ndarray, int, float]:
+    """The entry gate of both eigensolvers: (S, e, |A 2^-e|_F) with S = 1/2 (A' + A'^t)
+    for A' = A 2^-e, 2^e the power of two just above max|a_ij|.
+
+    The scaling is exact, so every threshold is relative to A and no norm overflows
+    or underflows. A non-finite matrix is a ValueError, and one with
+    |A - A^t|_F > 1e-8 |A|_F a NonSymmetricMatrixError.
+    """
+    a, scale = _pow2_scaled(_as_finite_square(a, caller))
+    norm = frobenius_norm(a)
+    if frobenius_norm(a - a.T) > 1e-8 * norm:
+        raise NonSymmetricMatrixError(f"{caller} requires a symmetric matrix")
+    return 0.5 * (a + a.T), scale, norm
+
+
+def _eigenvalues(a) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending, from LAPACK (numpy's eigvalsh).
+
+    Through the gate jacobi_eigh uses. LAPACK rescales a very small or very large
+    matrix by factors that are not powers of two (seen for max|a_ij| from about
+    2^-404 down), so the gate's exact pre-scaling is what makes 2^k A give 2^k times
+    the values bitwise.
+    """
+    sym, scale, _ = _symmetric_scaled(a, "eigvalsh")
+    return np.ldexp(np.linalg.eigvalsh(sym)[::-1], scale)
+
+
 def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
     """Parallel-order (round-robin) Jacobi eigendecomposition of a symmetric matrix.
 
@@ -215,18 +245,12 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
     so any scale of A works. Values come back sorted descending (stable, so equal
     values keep their input order), vectors as matching columns.
     """
-    a = _as_finite_square(a, "jacobi_eigh")
-    # work on A scaled by a power of two near 1 / max|a_ij|, which is exact: every
-    # threshold below is relative to A, and no norm overflows or underflows
-    a, scale = _pow2_scaled(a)
-    norm = frobenius_norm(a)
-    if frobenius_norm(a - a.T) > 1e-8 * norm:
-        raise NonSymmetricMatrixError("jacobi_eigh requires a symmetric matrix")
-    n = a.shape[0]
+    sym, scale, norm = _symmetric_scaled(a, "jacobi_eigh")
+    n = sym.shape[0]
     m = n + n % 2
     order, rot_at, off_at = _pair_layout(m)
     work = np.zeros((m, m))
-    work[:n, :n] = 0.5 * (a + a.T)
+    work[:n, :n] = sym
     work, vecs = work[np.ix_(order, order)], np.eye(m)
     for _ in range(100):
         if frobenius_norm(work - np.diag(np.diag(work))) <= tol * norm:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .linalg import _as_square, _fails_per_matrix, _pow2_scaled
-from .linalg import det_inverse, determinant, frobenius_norm
+from .linalg import complement_basis, det_inverse, determinant, frobenius_norm
 
 UNIMODULAR_TOL = 1e-9
 UNIT_NORM_TOL = 1e-9
@@ -114,19 +114,27 @@ def spherical_image_contains(u) -> bool:
 def gauss_map_preimage(u) -> np.ndarray:
     """The SL(n) point whose Gauss map is u, or one per matrix of a stack (..., n, n).
 
-    det(u)^{1/n} (u^t)^{-1}: u rescaled onto det = 1 and inverse-transposed, from
-    one LU of u^t; gauss_map of the result reproduces u. Where the float det(u) may
-    have underflowed, det(u)^{1/n} is exp(log|det u| / n) from slogdet.
+    det(u)^{1/n} (u^t)^{-1}: u rescaled onto det = 1 and inverse-transposed; gauss_map
+    of the result reproduces u. The inverse is D (u^t D)^{-1}, with D the exact power of
+    two that brings each column of u^t to max|entry| in [0.5, 1): (u^t)^{-1} itself can
+    overflow where the preimage does not, so the rows are scaled back by D only after
+    the product with det(u)^{1/n}. Column scaling leaves LU's pivots and roundings as
+    they were, so the result is bitwise the unscaled one wherever that was finite.
+    det(u) is taken from u^t itself; where it may have underflowed, det(u)^{1/n} is
+    exp(log|det u| / n) from slogdet.
     """
     u = _as_square(u, stack=True)
     _require_unit_norm(u, "gauss_map_preimage")
     ut = np.swapaxes(u, -1, -2)
-    d, inv = det_inverse(ut)
+    e = np.frexp(np.max(np.abs(ut), axis=-2, keepdims=True))[1]
+    inv = det_inverse(np.ldexp(ut, -e))[1]
+    d = determinant(ut)
     n, low = u.shape[-1], _underflowed(d)
     sign, logdet = np.linalg.slogdet(ut) if np.any(low) else (1.0, 0.0)
     if not np.all(~low | (sign > 0.0)):
         raise ValueError(f"matrix determinant {d!r} is not positive, not in the spherical image")
-    return _per_matrix(np.where(low, np.exp(logdet / n), _powers(d, 1.0 / n))) * inv
+    root = _per_matrix(np.where(low, np.exp(logdet / n), _powers(d, 1.0 / n)))
+    return np.ldexp(root * inv, -np.swapaxes(e, -1, -2))
 
 
 def weingarten_identity(h) -> np.ndarray:
@@ -165,6 +173,34 @@ def curvature_summary(n: int) -> SLCurvatureSummary:
         gauss_kronecker=(-1.0) ** mult_minus * float(n) ** (-(n * n - 1) / 2.0),
         mean=1.0 / (np.sqrt(n) * (n + 1)),
     )
+
+
+def curvatures_at(a) -> tuple[np.ndarray, float, float]:
+    """(principal curvatures descending, Gauss-Kronecker, mean) of SL(n) at any a.
+
+    Closed form from u, the singular values of a^-1 (the reciprocals of a's), with
+    |u| = |a^-1|_F: the spectrum is invariant under a -> P a Q (P, Q in SO(n)), and
+    at a diagonal a the shape operator splits into a plane per pair i < j with
+    curvatures +-u_i u_j / |u|, and the block diag(u^2)/|u| compressed to the
+    complement of u. The scalars are basis-free, K = (-1)^((n^2-n)/2) n
+    |a^-1|_F^-(n^2+1) and H = (|a^-1|_F^4 - |a^-1 a^-t|_F^2) / ((n^2-1) |a^-1|_F^3),
+    whose numerator is 2 sum_{i<j} (u_i u_j)^2: H is summed from the pairs' curvatures
+    as 2 sum (u_i u_j / |u|)^2 / ((n^2-1) |u|), which cancels nothing.
+    """
+    a = _as_square(a)
+    d, inv = det_inverse(a)
+    _require_unimodular(d)
+    n = a.shape[0]
+    u = np.linalg.svd(inv, compute_uv=False)
+    r = frobenius_norm(inv)
+    i, j = np.triu_indices(n, 1)
+    pairs = u[i] * u[j] / r
+    q = complement_basis(u)
+    block = np.linalg.eigvalsh(q.T @ (q * (u / r * u)[:, None]))
+    values = np.sort(np.concatenate((pairs, -pairs, block)))[::-1]
+    gauss_kronecker = (-1.0) ** ((n * n - n) // 2) * n * r ** -(n * n + 1)
+    mean = 2.0 * float(pairs @ pairs) / ((n * n - 1) * r)
+    return values, gauss_kronecker, mean
 
 
 def fundamental_forms(h) -> tuple[float, float]:

@@ -5,8 +5,9 @@ operator is minus the derivative of that normal field restricted to the
 tangent space; in an orthonormal tangent basis T it reduces to
 W = -(T^t H T)/|grad f| because T^t annihilates the rank-one correction
 of the normalized gradient's Jacobian. Principal curvatures are the
-eigenvalues of W, the Gauss-Kronecker curvature their product, the mean
-curvature their average (trace over N-1).
+eigenvalues of W, from LAPACK's symmetric eigensolver (values only, since
+nothing reads the vectors), the Gauss-Kronecker curvature their product,
+the mean curvature their average (trace over N-1).
 """
 
 from __future__ import annotations
@@ -18,15 +19,19 @@ import numpy as np
 
 from .autodiff import _jet
 from .fields import ScalarField
-from .linalg import _pow2_scaled, cluster_multiplicities, complement_basis, frobenius_norm
-from .linalg import jacobi_eigh
+from .linalg import _eigenvalues, _pow2_scaled, cluster_multiplicities, complement_basis
+from .linalg import frobenius_norm
 
 CRITICAL_GRADIENT_FLOOR = 1e-10
 TANGENCY_TOL = 1e-8
+# largest accepted (|f - c|/|grad f|) (|H|_F/|grad f|): the point's Newton distance
+# from the surface over a bound on the radius of curvature there
+NEWTON_CURVATURE_RATIO = 1e-6
 
 
 class OffSurfaceError(ValueError):
-    """Point does not satisfy |f(p) - level| <= on_surface_tol."""
+    """Point does not satisfy |f(p) - level| <= on_surface_tol, or lies too far
+    from the surface for the curvature there (NEWTON_CURVATURE_RATIO)."""
 
 
 class CriticalPointError(ValueError):
@@ -92,7 +97,11 @@ def _checked_jet(s: ImplicitHypersurface, p):
     The on-surface check uses a plain-float evaluation, so an off-surface
     point costs no AD pass; one pass then gives the gradient and Hessian.
     A pass that overflows is rejected as degenerate, so no non-finite
-    derivative reaches the shape operator.
+    derivative reaches the shape operator. A point within the on-surface
+    tolerance is still rejected when its distance from the surface, to first
+    order, exceeds NEWTON_CURVATURE_RATIO of the radius of curvature bound
+    |grad f|/|H|_F, a test whose verdict no change of units (f -> lambda f,
+    x -> r x) alters.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size != s.ambient_dim:
@@ -111,7 +120,21 @@ def _checked_jet(s: ImplicitHypersurface, p):
         )
     if gnorm <= CRITICAL_GRADIENT_FLOOR:
         raise CriticalPointError(f"gradient magnitude {gnorm:.3e} below critical floor")
+    ratio = _newton_curvature_ratio(abs(value - s.level), gnorm, frobenius_norm(hess))
+    if ratio > NEWTON_CURVATURE_RATIO:
+        raise OffSurfaceError(
+            "point is off-surface: distance |f - c|/|grad f| over the curvature radius "
+            f"bound |grad f|/|H|_F is {ratio:.3e} (limit {NEWTON_CURVATURE_RATIO:g})"
+        )
     return p, g, gnorm, hess
+
+
+def _newton_curvature_ratio(dist: float, gnorm: float, hnorm: float) -> float:
+    """(dist/gnorm) (hnorm/gnorm) from the mantissas and exponents of its factors, so
+    nothing overflows and 2^k f or 2^k x gives the same ratio bitwise. The exponent is
+    capped at 64, so a huge ratio comes back as a finite number above 2^62."""
+    (md, ed), (mg, eg), (mh, eh) = math.frexp(dist), math.frexp(gnorm), math.frexp(hnorm)
+    return math.ldexp(md * mh / (mg * mg), min(ed + eh - 2 * eg, 64))
 
 
 def _tangent(v, normal: np.ndarray, what: str) -> tuple[np.ndarray, int]:
@@ -195,8 +218,8 @@ def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
 def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> CurvatureReport:
     """Normal, tangent basis, shape operator, and all curvatures at p."""
     p, normal, w, basis = _local_frame(s, p)
-    spectrum = jacobi_eigh(w)
-    curvatures = cluster_multiplicities(spectrum.values, cluster_tol)
+    values = _eigenvalues(w)
+    curvatures = cluster_multiplicities(values, cluster_tol)
     n_tangent = s.ambient_dim - 1
     return CurvatureReport(
         point=p,
@@ -204,9 +227,9 @@ def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> C
         tangent_basis=basis,
         weingarten=w,
         curvatures=curvatures,
-        gauss_kronecker=float(np.prod(spectrum.values)),
-        mean=float(np.sum(spectrum.values) / n_tangent),
-        eigenvalues=spectrum.values,
+        gauss_kronecker=float(np.prod(values)),
+        mean=float(np.sum(values) / n_tangent),
+        eigenvalues=values,
     )
 
 

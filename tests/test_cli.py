@@ -122,6 +122,18 @@ class TestAnalyze:
         assert code == 1
         assert "off-surface" in capsys.readouterr().err
 
+    def test_far_from_small_circle(self, capsys):
+        # within 1e-9 (1 + |c|) of the level, but 0.71 of the radius bound 1e-10 away
+        # from the circle of radius 1e-10, whose curvature is -1e10, not -3.3e4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--expr", "x1^2 + x2^2", "--level=1e-20", "--point=3e-5,0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "off-surface" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_bad_expression(self, capsys):
         code = main(["analyze", "--expr", "x1/(", "--level", "1", "--point", "1"])
         assert code == 2

@@ -38,6 +38,26 @@ def test_report_invariant_under_power_of_two_field_scaling(k, seed):
     assert scaled.mean.hex() == base.mean.hex()
 
 
+# x -> 2^k x maps the sphere |x|^2 = c onto |x|^2 = 4^k c: the gradient scales by 2^k,
+# the Hessian not at all and the basis not at all, so W and every principal curvature
+# scale by 2^-k exactly. LAPACK rescales a tiny matrix by factors that are not powers
+# of two (W near 2^-404 and below, e.g. k = 404 at seed 1), so the eigensolve must
+# scale W exactly first. k < 0 would run into the absolute critical floor of |grad f|.
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.integers(0, 500), st.integers(0, 2**32 - 1))
+@hypothesis.example(404, 1)
+@hypothesis.example(485, 0)
+@hypothesis.example(500, 0)
+def test_curvatures_scale_under_power_of_two_point_scaling(k, seed):
+    p = np.random.default_rng(seed).uniform(-2.0, 2.0, size=4)
+    level = float(sphere_field(4)(list(p)))
+    base = curvature_report(ImplicitHypersurface(field=sphere_field(4), level=level), p)
+    scaled_surface = ImplicitHypersurface(field=sphere_field(4), level=2.0 ** (2 * k) * level)
+    scaled = curvature_report(scaled_surface, np.ldexp(p, k))
+    for name in ("weingarten", "eigenvalues"):
+        assert getattr(scaled, name).tobytes() == np.ldexp(getattr(base, name), -k).tobytes(), name
+
+
 def normal_entries(seed):
     """A seeded vector or square matrix whose nonzero entries lie in [2^-20, 2] in
     magnitude, so that every 2^k multiple with |k| <= 1000 stays normal."""

@@ -7,6 +7,7 @@ import slcurv.slgroup
 from slcurv.linalg import determinant, frobenius_norm
 from slcurv.slgroup import (
     curvature_summary,
+    curvatures_at,
     fundamental_forms,
     gauss_map,
     gauss_map_preimage,
@@ -127,18 +128,31 @@ class TestGaussMapPreimage:
             gauss_map_preimage(np.eye(2))
 
     def test_one_det_inverse_per_value(self, monkeypatch):
-        # det(u) and (u^t)^{-1} come from one factorization of u^t
+        # the inverse comes from one det_inverse of the column-equilibrated u^t, and
+        # det(u) from u^t itself, because numpy's det is not exact under that scaling
         u = gauss_map(random_sl(3, 5))
         calls = []
         for name in ("det_inverse", "determinant"):
 
             def counted(m, name=name, original=getattr(slcurv.slgroup, name)):
-                calls.append(name)
+                calls.append((name, np.asarray(m).copy()))
                 return original(m)
 
             monkeypatch.setattr(slcurv.slgroup, name, counted)
         gauss_map_preimage(u)
-        assert calls == ["det_inverse"]
+        assert [name for name, _ in calls] == ["det_inverse", "determinant"]
+        assert np.array_equal(calls[1][1], u.T)
+        assert np.all(np.max(np.abs(calls[0][1]), axis=0) >= 0.5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [511, 512, 537])
+    def test_inverse_overflow_avoided(self, n, k):
+        # u = gauss_map(diag(2^k, 2^-k, 1, ...)) has the entry 2^-2k, so (u^t)^{-1} has
+        # 2^2k, past the float maximum from k = 512; the preimage itself is representable
+        a = np.diag([2.0**k, 2.0**-k] + [1.0] * (n - 2))
+        b = gauss_map_preimage(gauss_map(a))
+        assert np.all(b[a == 0.0] == 0.0)
+        assert np.diag(b) / np.diag(a) == pytest.approx(np.ones(n), rel=1e-13)
 
 
 def underflowed_image():
@@ -319,6 +333,31 @@ class TestCurvatureSummary:
             curvature_summary(1)
 
 
+class TestCurvaturesAt:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_identity_matches_closed_forms(self, n):
+        values, gauss_kronecker, mean = curvatures_at(np.eye(n))
+        expect = np.concatenate([np.full(m, kappa) for kappa, m in principal_curvatures_identity(n)])
+        assert np.max(np.abs(values - expect)) <= 1e-15
+        summary = curvature_summary(n)
+        assert gauss_kronecker == pytest.approx(summary.gauss_kronecker, rel=1e-14)
+        assert mean == pytest.approx(summary.mean, rel=1e-14)
+
+    def test_diagonal_point_by_hand(self):
+        # a = diag(2, 1/2): u = (2, 1/2), |u| = r = sqrt(17)/2; the pair gives
+        # +-u1 u2/r = +-1/r, and the block diag(4, 1/4) on u's complement (-1/2, 2)/r
+        # gives (4 (1/4) + (1/4) 4)/r^2 / r = 2/r^3; K = -2/r^5 and H = 2/(3 r^3)
+        r = np.sqrt(17.0) / 2.0
+        values, gauss_kronecker, mean = curvatures_at(np.diag([2.0, 0.5]))
+        assert values == pytest.approx([1.0 / r, 2.0 / r**3, -1.0 / r], rel=1e-15)
+        assert gauss_kronecker == pytest.approx(-2.0 / r**5, rel=1e-15)
+        assert mean == pytest.approx(2.0 / (3.0 * r**3), rel=1e-15)
+
+    def test_non_unimodular_rejected(self):
+        with pytest.raises(ValueError, match="not 1"):
+            curvatures_at(np.diag([2.0, 2.0]))
+
+
 class TestFundamentalForms:
     def test_nilpotent(self):
         first, second = fundamental_forms(basis_matrix(2, 0, 1))
@@ -389,6 +428,7 @@ class TestRandomSpecialOrthogonal:
             (weingarten_identity, np.diag([1.0, -1.0, 0.0])),
             (sym_skew_decompose, np.diag([1.0, -1.0, 0.0])),
             (fundamental_forms, np.diag([1.0, -1.0, 0.0])),
+            (curvatures_at, np.eye(3)),
         ]
     ],
 )

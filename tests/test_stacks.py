@@ -10,6 +10,7 @@ from slcurv.linalg import (
     jacobi_eigh,
 )
 from slcurv.slgroup import (
+    curvatures_at,
     fundamental_forms,
     gauss_map,
     gauss_map_preimage,
@@ -86,6 +87,15 @@ def test_underflowed_det_preimage_slices_equal_single_calls():
     assert_slices_equal(gauss_map_preimage(u), [gauss_map_preimage(m) for m in u])
 
 
+@pytest.mark.parametrize("k", [511, 512, 537])
+def test_overflowing_inverse_preimage_slices_equal_single_calls(k):
+    # a member whose (u^t)^{-1} overflows, 2^2k, among ordinary ones
+    u = gauss_map(np.stack([random_sl(2, 4), extreme_sl(2, k), random_sl(2, 5)]))
+    b = gauss_map_preimage(u)
+    assert_slices_equal(b, [gauss_map_preimage(m) for m in u])
+    assert np.diag(b[1]) == pytest.approx([2.0**k, 2.0**-k], rel=1e-13)
+
+
 def test_empty_stack():
     assert random_sl(3, []).shape == (0, 3, 3)
     assert gauss_map(np.empty((0, 3, 3))).shape == (0, 3, 3)
@@ -155,6 +165,7 @@ def test_first_bad_member_decides():
         pytest.param(sym_skew_decompose, np.diag([1.0, -1.0, 0.0]), id="sym_skew_decompose"),
         pytest.param(fundamental_forms, np.diag([1.0, -1.0, 0.0]), id="fundamental_forms"),
         pytest.param(spherical_image_contains, np.eye(3) / np.sqrt(3.0), id="spherical_image_contains"),
+        pytest.param(curvatures_at, np.eye(3), id="curvatures_at"),
     ],
 )
 def test_one_matrix_functions_reject_stacks(fn, base):

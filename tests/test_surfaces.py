@@ -70,6 +70,32 @@ class TestUnitNormal:
         with pytest.raises(CriticalPointError, match="not finite"):
             curvature_report(surface, point)
 
+    def test_newton_distance_gate(self):
+        # on-surface within 1e-9 (1 + |c|), yet 0.71 radii of curvature off the
+        # circle of radius 1e-10; a sphere point 1e-10 off its level still passes
+        small = ImplicitHypersurface(field=sphere_field(2), level=1e-20)
+        assert small.contains([3e-5, 0.0])
+        with pytest.raises(OffSurfaceError, match="curvature radius"):
+            unit_normal(small, [3e-5, 0.0])
+        near = ImplicitHypersurface(field=sphere_field(3), level=4.0, on_surface_tol=1e-9)
+        assert near.contains([2.0 + 2.5e-11, 0.0, 0.0])
+        unit_normal(near, [2.0 + 2.5e-11, 0.0, 0.0])
+
+    def test_newton_distance_ratio_is_scale_free(self):
+        # f -> 2^k f scales distance, |grad f| and |H|_F alike; x -> 2^k x keeps the
+        # distance and scales |grad f| by 2^-k and |H|_F by 2^-2k: the ratio is bitwise
+        # unchanged, and extreme factors neither overflow nor divide by zero
+        ratio = slcurv.surfaces._newton_curvature_ratio
+        d, g, h = 3.1e-6, 0.7, 5.3
+        base = ratio(d, g, h)
+        for k in (-1000, -40, 0, 40, 1000):
+            assert ratio(np.ldexp(d, k), np.ldexp(g, k), np.ldexp(h, k)) == base
+        for k in (-400, -40, 40, 400):
+            assert ratio(d, np.ldexp(g, -k), np.ldexp(h, -2 * k)) == base
+        assert 1e18 < ratio(1e300, 1e-10, 1e300) < np.inf
+        assert ratio(0.0, 1e-10, 1e300) == 0.0
+        assert ratio(1e300, 1e300, 0.0) == 0.0
+
     def test_surface_tolerance_override(self):
         loose = ImplicitHypersurface(field=sphere_field(2), level=1.0, on_surface_tol=0.1)
         assert loose.contains([1.01, 0.0])
@@ -243,7 +269,7 @@ class TestCurvatureReport:
         assert report.mean == pytest.approx(float(np.sum(report.eigenvalues)) / 8, rel=1e-12)
 
     def test_identity_spectrum_matches_closed_form(self):
-        for n in (2, 3, 4):
+        for n in range(2, 9):
             report = curvature_report(sl_surface(n), np.eye(n).ravel())
             exact = principal_curvatures_identity(n)
             assert [m for _, m in report.curvatures] == [m for _, m in exact]

@@ -8,12 +8,9 @@ rejects only a zero or non-finite g, and two symmetric eigensolvers behind one e
 gate (finite input, exact power-of-two scaling, a relative symmetry test,
 symmetrization). The curvature pipeline takes its eigenvalues from LAPACK (numpy's
 eigvalsh, no vectors). jacobi_eigh, a parallel-order (round-robin) Jacobi solver with
-vectors, is the oracle the tests hold it to; it keeps the matrix stored so that each
-round's disjoint pairs are adjacent, which makes a round a handful of numpy calls on
-strided diagonals and one rotation that also moves the pairs of the next round into
-place. An exactly zero pivot is the only singularity:
-determinant returns 0.0, det_inverse raises SingularMatrixError, as it does for a
-non-finite inverse. A non-finite matrix is a ValueError.
+vectors, is the oracle the tests hold it to. An exactly zero pivot is the only
+singularity: determinant returns 0.0, det_inverse raises SingularMatrixError, as it
+does for a non-finite inverse. A non-finite matrix is a ValueError.
 
 determinant, det_inverse and frobenius_norm also take a stack of matrices, shape
 (..., n, n) with ndim >= 3, and then return one value per matrix; each equals the
@@ -170,38 +167,16 @@ def complement_basis(g) -> np.ndarray:
     return refl[:, 1:]
 
 
-def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p, q) index arrays, p < q, one row per round: the m/2 disjoint pairs of an even m.
+def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) index arrays, p < q, one row per round: floor(n/2) disjoint pairs.
 
-    Circle method: in round r, m - 1 meets r and r + k meets r - k (mod m - 1).
+    Circle method on m = n + n % 2 indices: in round r, m - 1 meets r and
+    r + k meets r - k (mod m - 1). For odd n, m - 1 is a dummy: column k = 0 is dropped.
     """
+    m = n + n % 2
     r, k = np.arange(m - 1)[:, None], np.arange(m // 2)
     a, b = np.where(k == 0, m - 1, (r + k) % (m - 1)), (r - k) % (m - 1)
-    return np.minimum(a, b), np.maximum(a, b)
-
-
-@functools.lru_cache(maxsize=64)
-def _pair_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables for Jacobi rounds on m (even) indices stored pair-adjacent.
-
-    In round r's layout, position 2k holds p and 2k + 1 holds q of the round's
-    k-th pair. Returns the index at each position of round 0's layout, and per
-    round the flat indices in an m x m rotation of its c, c, s, -s entries and
-    of the two rotated off-diagonal entries: the rotation carries round r's
-    layout into round r + 1's, and round m - 1 is round 0 again.
-    """
-    p, q = _round_robin(m)
-    order = np.stack((p, q), axis=-1).reshape(m - 1, m)
-    position = np.argsort(order, axis=1)
-    # dest[r, l]: the position in round r + 1's layout of the index at position l in round r's
-    dest = np.take_along_axis(np.roll(position, -1, axis=0), order, axis=1)
-    de, do = dest[:, 0::2], dest[:, 1::2]
-    row = np.arange(0, m, 2) * m
-    rot = np.concatenate((row + de, row + m + do, row + do, row + m + de), axis=1)
-    off = np.concatenate((de * m + do, do * m + de), axis=1)
-    for t in (order, rot, off):
-        t.flags.writeable = False
-    return order[0], rot, off
+    return np.minimum(a, b)[:, n % 2 :], np.maximum(a, b)[:, n % 2 :]
 
 
 def _symmetric_scaled(a, caller: str) -> tuple[np.ndarray, int, float]:
@@ -236,45 +211,33 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
 
     Each round of a sweep rotates disjoint pairs as one orthogonal matrix
     (Brent & Luk 1985; Golub & Van Loan, Matrix Computations, 4th ed., 8.5).
-    The matrix is stored so that every round's pairs sit at positions (2k, 2k + 1),
-    an odd size padded with a zero row and column that is never rotated: each
-    round's rotation also permutes into the next round's layout. A pair's angle
-    is 1/2 atan2(2 a_pq sign(a_qq - a_pp), |a_qq - a_pp|), at most pi/4 in size,
-    and exactly 0 when a_pq = 0. Sweeps until the off-diagonal Frobenius mass
-    drops to tol * |A|_F, at most 100 sweeps; every threshold is relative to A,
-    so any scale of A works. Values come back sorted descending (stable, so equal
-    values keep their input order), vectors as matching columns.
+    A pair's angle is 1/2 atan2(2 a_pq sign(a_qq - a_pp), |a_qq - a_pp|), at most
+    pi/4 in size, and exactly 0 when a_pq = 0. Sweeps until the off-diagonal
+    Frobenius mass drops to tol * |A|_F, at most 100 sweeps; every threshold is
+    relative to A, so any scale of A works. Values come back sorted descending
+    (stable, so equal values keep their input order), vectors as matching columns.
     """
-    sym, scale, norm = _symmetric_scaled(a, "jacobi_eigh")
-    n = sym.shape[0]
-    m = n + n % 2
-    order, rot_at, off_at = _pair_layout(m)
-    work = np.zeros((m, m))
-    work[:n, :n] = sym
-    work, vecs = work[np.ix_(order, order)], np.eye(m)
+    work, scale, norm = _symmetric_scaled(a, "jacobi_eigh")
+    n = work.shape[0]
+    vecs, rounds = np.eye(n), _round_robin(n)
     for _ in range(100):
         if frobenius_norm(work - np.diag(np.diag(work))) <= tol * norm:
             break
-        for rot_r, off_r in zip(rot_at, off_at):
-            # the round's pairs are (2k, 2k + 1): a_pp, a_qq and a_pq are strided views
-            diag = np.diagonal(work)
-            diff = diag[1::2] - diag[0::2]
-            apq = np.diagonal(work, 1)[0::2]
-            theta = 0.5 * np.arctan2(apq * np.copysign(2.0, diff), np.abs(diff))
+        for p, q in zip(*rounds):
+            diff = work[q, q] - work[p, p]
+            theta = 0.5 * np.arctan2(work[p, q] * np.copysign(2.0, diff), np.abs(diff))
             c, s = np.cos(theta), np.sin(theta)
-            # the 2 x 2 rotations times the permutation into the next round's layout
-            rot = np.zeros((m, m))
-            rot.flat[rot_r] = np.concatenate((c, c, s, -s))
+            rot = np.eye(n)
+            rot[p, p] = rot[q, q] = c
+            rot[p, q], rot[q, p] = s, -s
             work = rot.T @ work @ rot
-            work.flat[off_r] = 0.0  # the rotated pairs, at their new positions
+            work[p, q] = work[q, p] = 0.0
             vecs = vecs @ rot
     else:
         raise JacobiConvergenceError("no convergence within 100 Jacobi sweeps")
-    # back to the input's index order without the pad, then sorted
-    at = np.argsort(order)[:n]
-    values = np.ldexp(np.diagonal(work)[at], scale)
-    rank = np.argsort(-values, kind="stable")
-    return EigenSpectrum(values=values[rank], vectors=vecs[np.ix_(at, at[rank])])
+    values = np.ldexp(np.diag(work), scale)
+    order = np.argsort(-values, kind="stable")
+    return EigenSpectrum(values=values[order], vectors=vecs[:, order])
 
 
 def cluster_multiplicities(values, cluster_tol: float = 1e-6) -> list[tuple[float, int]]:

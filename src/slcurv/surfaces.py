@@ -22,7 +22,6 @@ from .fields import ScalarField
 from .linalg import _eigenvalues, _pow2_scaled, cluster_multiplicities, complement_basis
 from .linalg import frobenius_norm
 
-CRITICAL_GRADIENT_FLOOR = 1e-10
 TANGENCY_TOL = 1e-8
 # largest accepted (|f - c|/|grad f|) (|H|_F/|grad f|): the point's Newton distance
 # from the surface over a bound on the radius of curvature there
@@ -35,9 +34,10 @@ class OffSurfaceError(ValueError):
 
 
 class CriticalPointError(ValueError):
-    """Degenerate gradient: below the critical floor or not finite.
+    """Degenerate gradient: exactly zero or not finite.
 
-    A non-finite Hessian is rejected with it.
+    A non-finite Hessian is rejected with it, and so is a shape operator or a
+    Gauss-Kronecker curvature out of floating-point range.
     """
 
 
@@ -118,8 +118,8 @@ def _checked_jet(s: ImplicitHypersurface, p):
         raise CriticalPointError(
             f"gradient or Hessian is not finite (gradient magnitude {gnorm:.3e})"
         )
-    if gnorm <= CRITICAL_GRADIENT_FLOOR:
-        raise CriticalPointError(f"gradient magnitude {gnorm:.3e} below critical floor")
+    if gnorm == 0.0:
+        raise CriticalPointError("gradient is zero")
     ratio = _newton_curvature_ratio(abs(value - s.level), gnorm, frobenius_norm(hess))
     if ratio > NEWTON_CURVATURE_RATIO:
         raise OffSurfaceError(
@@ -165,7 +165,10 @@ def _local_frame(s: ImplicitHypersurface, p):
     if p.size < 2:
         raise ValueError("a level set in R^1 has an empty tangent space, so no curvature")
     basis = complement_basis(g)
-    w = -(basis.T @ hess @ basis) / gnorm
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = -(basis.T @ hess @ basis) / gnorm
+    if not np.all(np.isfinite(w)):
+        raise CriticalPointError("the shape operator is out of floating-point range")
     return p, g / gnorm, w, basis
 
 
@@ -220,6 +223,10 @@ def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> C
     p, normal, w, basis = _local_frame(s, p)
     values = _eigenvalues(w)
     curvatures = cluster_multiplicities(values, cluster_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gauss_kronecker = float(np.prod(values))
+    if not math.isfinite(gauss_kronecker):
+        raise CriticalPointError("the Gauss-Kronecker curvature is out of floating-point range")
     n_tangent = s.ambient_dim - 1
     return CurvatureReport(
         point=p,
@@ -227,7 +234,7 @@ def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> C
         tangent_basis=basis,
         weingarten=w,
         curvatures=curvatures,
-        gauss_kronecker=float(np.prod(values)),
+        gauss_kronecker=gauss_kronecker,
         mean=float(np.sum(values) / n_tangent),
         eigenvalues=values,
     )

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from slcurv.cli import _random_trace_zero as random_trace_zero  # noqa: F401
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def random_trace_zero(n: int, rng) -> np.ndarray:
+    """A uniform random n x n matrix on [-1, 1), made trace-zero by subtracting (tr/n) I."""
+    h = rng.uniform(-1.0, 1.0, size=(n, n))
+    return h - (np.trace(h) / n) * np.eye(n)
 
 
 def fd_gradient(field, p, h=1e-6):

@@ -221,6 +221,36 @@ class TestAnalyze:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
+    def test_tiny_circle(self, capsys):
+        # radius 1e-150, |grad f| = 2e-150: regular, with no absolute floor on |grad f|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["analyze", "--expr", "x1^2 + x2^2", "--level=1e-300", "--point=1e-150,0"]
+            code = main([*argv, "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["curvatures"] == [{"value": -1e150, "multiplicity": 1}]
+
+    @pytest.mark.parametrize(
+        "expr, level, point",
+        [
+            # |grad f| = 1e-5 and H = 1e308 on the x1 axis: W = -1e313
+            (f"0.00001*x2 + 5{'0' * 307}*x1^2", "0", "0,0"),
+            # W = -1e120 I in R^3 is finite, K = -1e360 is not
+            ("x1^2+x2^2+x3^2+x4^2", "1e-240", "1e-120,0,0,0"),
+        ],
+        ids=["shape-operator", "gauss-kronecker"],
+    )
+    def test_curvature_out_of_range(self, capsys, expr, level, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--expr", expr, f"--level={level}", f"--point={point}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "range" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_huge_gradient(self, capsys):
         # |grad f| = 3e200: its square overflows, the norm does not
         code = main(["analyze", "--expr", "x1^3 + x2", "--level=1e300", "--point=1e100,0", "--json"])

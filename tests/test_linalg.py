@@ -267,7 +267,7 @@ class TestJacobiEigh:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 23, 24, 36])
     def test_matches_lapack(self, rng, n):
-        # odd sizes pad the round-robin schedule with an index that is never rotated
+        # at odd sizes each round of the round-robin schedule leaves one index out
         for _ in range(3):
             a = rng.standard_normal((n, n))
             a = 0.5 * (a + a.T)
@@ -311,8 +311,8 @@ class TestJacobiEigh:
 
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
     def test_odd_size_pad_never_leaks(self, rng, n):
-        # an odd size is padded with a zero row and column; on a negative-definite
-        # matrix its 0 would be the largest value if it leaked into the output
+        # an odd size schedules a dummy index whose pairs are dropped; on a
+        # negative-definite matrix a 0 from it would be the largest value if it leaked
         b = rng.standard_normal((n, n))
         a = -(b @ b.T + n * np.eye(n))
         spec = jacobi_eigh(a)
@@ -334,7 +334,7 @@ class TestJacobiEigh:
         assert np.sum(np.any(upper != 0.0, axis=0)) == 3
 
     def test_repeated_values_keep_input_order(self):
-        # equal values come back in the input's index order, through the pair layout,
+        # equal values come back in the input's index order, through the stable sort,
         # while a coupled pair is rotated alongside them
         a = np.diag([2.0, 5.0, 2.0, 5.0, 2.0, 0.0, 0.0])
         a[5, 6] = a[6, 5] = 1.0

@@ -6,6 +6,7 @@ from slcurv.fields import determinant_field, quadric_field, sphere_field
 from slcurv.linalg import complement_basis, determinant, frobenius_norm
 from slcurv.slgroup import gauss_map, random_sl, weingarten_identity
 from slcurv.surfaces import (
+    CriticalPointError,
     ImplicitHypersurface,
     curvature_report,
     second_fundamental_form,
@@ -20,9 +21,11 @@ st = pytest.importorskip("hypothesis.strategies")
 
 # f -> 2^k f at level 2^k c scales the gradient, the Hessian and |grad f| by 2^k
 # exactly, so the normal, W and every curvature are bitwise unchanged. |grad f|^2
-# overflows from about k = 510 on; |grad f| itself does not before k = 1020.
+# overflows from about k = 510 on and underflows from about k = -500 down; |grad f|
+# itself does neither for k in [-500, 1000].
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@hypothesis.given(st.integers(0, 1000), st.integers(0, 2**32 - 1))
+@hypothesis.given(st.integers(-500, 1000), st.integers(0, 2**32 - 1))
+@hypothesis.example(-500, 0)
 @hypothesis.example(510, 0)
 @hypothesis.example(1000, 0)
 def test_report_invariant_under_power_of_two_field_scaling(k, seed):
@@ -42,9 +45,11 @@ def test_report_invariant_under_power_of_two_field_scaling(k, seed):
 # the Hessian not at all and the basis not at all, so W and every principal curvature
 # scale by 2^-k exactly. LAPACK rescales a tiny matrix by factors that are not powers
 # of two (W near 2^-404 and below, e.g. k = 404 at seed 1), so the eigensolve must
-# scale W exactly first. k < 0 would run into the absolute critical floor of |grad f|.
+# scale W exactly first. For k < 0 the Gauss-Kronecker curvature, 2^-3k times the
+# base's, can leave the float range, which is a CriticalPointError.
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@hypothesis.given(st.integers(0, 500), st.integers(0, 2**32 - 1))
+@hypothesis.given(st.integers(-500, 500), st.integers(0, 2**32 - 1))
+@hypothesis.example(-500, 0)
 @hypothesis.example(404, 1)
 @hypothesis.example(485, 0)
 @hypothesis.example(500, 0)
@@ -53,6 +58,10 @@ def test_curvatures_scale_under_power_of_two_point_scaling(k, seed):
     level = float(sphere_field(4)(list(p)))
     base = curvature_report(ImplicitHypersurface(field=sphere_field(4), level=level), p)
     scaled_surface = ImplicitHypersurface(field=sphere_field(4), level=2.0 ** (2 * k) * level)
+    if np.frexp(base.gauss_kronecker)[1] - 3 * k > 1024:
+        with pytest.raises(CriticalPointError, match="range"):
+            curvature_report(scaled_surface, np.ldexp(p, k))
+        return
     scaled = curvature_report(scaled_surface, np.ldexp(p, k))
     for name in ("weingarten", "eigenvalues"):
         assert getattr(scaled, name).tobytes() == np.ldexp(getattr(base, name), -k).tobytes(), name

@@ -6,6 +6,9 @@ The payloads are floats or numpy arrays. With float payloads one
 evaluation yields one exact mixed partial; seeding coordinate k with the
 unit vector e_k in both first-order slots (vector mode) makes one
 evaluation yield the whole gradient in d1 and the whole Hessian in d12.
+A field may carry its own jet recipe (determinant_field does), which _jet
+runs in place of that generic pass; the generic pass stays the oracle that
+the recipe must match bitwise.
 """
 
 from __future__ import annotations
@@ -148,19 +151,25 @@ def _jet(field, p) -> tuple[np.ndarray, np.ndarray]:
     result runs the float operations of a scalar pass seeded with e_i and
     e_j; the lower triangle is copied from the upper one, so the Hessian is
     bitwise symmetric. A field whose output is constant has zero derivatives.
+    A field with a _jet_recipe gets its gradient and upper Hessian from that
+    recipe, which must return bitwise what this generic pass returns.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size != field.arity:
         raise ValueError(f"point has {p.size} coordinates, field arity is {field.arity}")
     n = p.size
-    eye, zeros = np.eye(n), np.zeros((n, n))
-    out = field([HyperDual(p[k], eye[k], eye[k], zeros) for k in range(n)])
-    if not isinstance(out, HyperDual):
-        return np.zeros(n), zeros
-    hess = np.array(out.d12, dtype=float)
+    recipe = getattr(field, "_jet_recipe", None)
+    if recipe is not None:
+        grad, hess = recipe(p)
+    else:
+        eye, zeros = np.eye(n), np.zeros((n, n))
+        out = field([HyperDual(p[k], eye[k], eye[k], zeros) for k in range(n)])
+        if not isinstance(out, HyperDual):
+            return np.zeros(n), zeros
+        grad, hess = np.array(out.d1, dtype=float), np.array(out.d12, dtype=float)
     lower = np.tril_indices(n, -1)
     hess[lower] = hess.T[lower]
-    return np.array(out.d1, dtype=float), hess
+    return grad, hess
 
 
 def gradient(field, p) -> np.ndarray:

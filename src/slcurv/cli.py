@@ -60,7 +60,9 @@ def _print_report_text(report: CurvatureReport):
     print(f"normal           {np.array2string(report.normal, precision=10)}")
     print("principal curvatures:")
     for value, mult in report.curvatures:
-        print(f"  {value: .12f}  multiplicity {mult}")
+        # fixed point while that keeps 9 or more significant and 8 or fewer integer digits
+        spec = " .12f" if value == 0.0 or 1e-4 <= abs(value) < 1e8 else " .12e"
+        print(f"  {value:{spec}}  multiplicity {mult}")
     print(f"gauss_kronecker  {report.gauss_kronecker: .12e}")
     print(f"mean             {report.mean: .12e}")
 

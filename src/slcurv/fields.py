@@ -5,11 +5,15 @@ only (+, -, *, /, integer powers), so the same recipe runs unchanged over
 any of the supported scalar rings. Built-ins cover the determinant of the
 row-major-flattened n x n argument and diagonal quadrics; everything else
 comes from parsed expression text.
+
+The determinant field also carries a private jet recipe: the same cofactor
+expansion run over float arrays, one level of minors at a time, whose
+gradient and Hessian are bitwise those of the generic HyperDual pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 from typing import Callable, Sequence, Union
 
@@ -36,6 +40,11 @@ class ScalarField:
     arity: int
     body: Callable[[Sequence], object]
     name: str = ""
+    # (gradient, upper Hessian) at a float point, bitwise equal to the generic
+    # HyperDual pass over body; autodiff._jet uses it when set
+    _jet_recipe: Callable | None = dataclass_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __call__(self, args: Sequence):
         if len(args) != self.arity:
@@ -63,11 +72,71 @@ def _cofactor_det(a: Sequence, n: int):
     return minors[tuple(range(n))]
 
 
+def _det_jet_tables(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Index tables of _cofactor_det for levels 2..n of its minors.
+
+    Level m lists the m-column subsets of the last m rows in combinations order;
+    level 1 is the last row, coordinates n(n - 1) .. n^2 - 1. Row j of a level's
+    (seed, below) pair holds, per minor, the coordinate that expansion term j
+    multiplies and the position in level m - 1 of the minor it multiplies.
+    """
+    tables = []
+    level = list(combinations(range(n), 1))
+    for r in range(n - 2, -1, -1):
+        position = {cols: i for i, cols in enumerate(level)}
+        level = list(combinations(range(n), n - r))
+        seed = [[r * n + cols[j] for cols in level] for j in range(n - r)]
+        below = [[position[cols[:j] + cols[j + 1 :]] for cols in level] for j in range(n - r)]
+        tables.append((np.array(seed), np.array(below)))
+    return tables
+
+
+def _det_jet(n: int, tables, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gradient, upper Hessian) of the n x n determinant at p: _cofactor_det over the
+    seeds HyperDual(p[k], e_k, e_k, 0), one level of minors at a time.
+
+    A level holds each minor's value (C,), d1 (C, N) and d12 (C, N, N); d2 equals d1
+    bitwise, so it is not stored. Each term runs HyperDual.__mul__'s float operations
+    in its order, x D + e_k v and ((x H + e_k (x) D) + D (x) e_k) + 0 v, and the terms
+    are added and subtracted as in _cofactor_det, so the result is bitwise the d1 and
+    d12 of the generic pass.
+    """
+    eye = np.eye(p.size)
+    last = np.arange(p.size - n, p.size)
+    v, d1, d12 = p[last], eye[last], np.zeros((n, p.size, p.size))
+    for seeds, belows in tables:
+        for j, (k, b) in enumerate(zip(seeds, belows)):
+            # gathered copies, so every step below can run in place
+            x, e, tv, td1, td12 = p[k], eye[k], v[b], d1[b], d12[b]
+            np.multiply(x[:, None, None], td12, out=td12)
+            td12 += e[:, :, None] * td1[:, None, :]
+            td12 += td1[:, :, None] * e[:, None, :]
+            td12 += (0.0 * tv)[:, None, None]
+            np.multiply(x[:, None], td1, out=td1)
+            td1 += e * tv[:, None]
+            np.multiply(x, tv, out=tv)
+            if j == 0:
+                acc = tv, td1, td12
+            else:
+                sign = np.add if j % 2 == 0 else np.subtract
+                for a, t in zip(acc, (tv, td1, td12)):
+                    sign(a, t, out=a)
+        v, d1, d12 = acc
+    return d1[0], d12[0]
+
+
 def determinant_field(n: int) -> ScalarField:
-    """Determinant of the row-major-flattened n x n argument, 1 <= n <= 8."""
+    """Determinant of the row-major-flattened n x n argument, 1 <= n <= 8.
+
+    The field carries a jet recipe (_det_jet) that autodiff._jet runs in place of the
+    generic HyperDual pass; its gradient and Hessian are bitwise the generic ones.
+    """
     if not 1 <= n <= 8:
         raise ValueError(f"determinant_field supports 1 <= n <= 8, got {n}")
-    return ScalarField(arity=n * n, body=lambda a: _cofactor_det(a, n), name=f"det{n}")
+    field = ScalarField(arity=n * n, body=lambda a: _cofactor_det(a, n), name=f"det{n}")
+    tables = _det_jet_tables(n)
+    object.__setattr__(field, "_jet_recipe", lambda p: _det_jet(n, tables, p))
+    return field
 
 
 def quadric_field(coeffs) -> ScalarField:

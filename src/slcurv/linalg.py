@@ -200,10 +200,12 @@ def _eigenvalues(a) -> np.ndarray:
     Through the gate jacobi_eigh uses. LAPACK rescales a very small or very large
     matrix by factors that are not powers of two (seen for max|a_ij| from about
     2^-404 down), so the gate's exact pre-scaling is what makes 2^k A give 2^k times
-    the values bitwise.
+    the values bitwise. A value out of floating-point range comes back as an inf,
+    without a warning.
     """
     sym, scale, _ = _symmetric_scaled(a, "eigvalsh")
-    return np.ldexp(np.linalg.eigvalsh(sym)[::-1], scale)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.eigvalsh(sym)[::-1], scale)
 
 
 def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
@@ -252,10 +254,11 @@ def cluster_multiplicities(values, cluster_tol: float = 1e-6) -> list[tuple[floa
     if values.size and np.any(np.diff(values) > 0):
         raise ValueError("values must be sorted in descending order")
     clusters: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, values.size + 1):
-        if i == values.size or abs(values[i] - values[start]) > cluster_tol:
-            chunk = values[start:i]
-            clusters.append((float(chunk.mean()), int(chunk.size)))
+    start, v = 0, values.tolist()
+    for i in range(1, len(v) + 1):
+        if i == len(v) or abs(v[i] - v[start]) > cluster_tol:
+            # v + 0.0 is bitwise numpy's mean of one value, -0.0 included
+            mean = v[start] + 0.0 if i - start == 1 else float(values[start:i].mean())
+            clusters.append((mean, i - start))
             start = i
     return clusters

@@ -36,8 +36,8 @@ class OffSurfaceError(ValueError):
 class CriticalPointError(ValueError):
     """Degenerate gradient: exactly zero or not finite.
 
-    A non-finite Hessian is rejected with it, and so is a shape operator or a
-    Gauss-Kronecker curvature out of floating-point range.
+    A non-finite Hessian is rejected with it, and so are a shape operator, principal
+    curvatures or a Gauss-Kronecker curvature out of floating-point range.
     """
 
 
@@ -120,7 +120,7 @@ def _checked_jet(s: ImplicitHypersurface, p):
         )
     if gnorm == 0.0:
         raise CriticalPointError("gradient is zero")
-    ratio = _newton_curvature_ratio(abs(value - s.level), gnorm, frobenius_norm(hess))
+    ratio = _newton_curvature_ratio(abs(value - s.level), gnorm, hess)
     if ratio > NEWTON_CURVATURE_RATIO:
         raise OffSurfaceError(
             "point is off-surface: distance |f - c|/|grad f| over the curvature radius "
@@ -129,12 +129,15 @@ def _checked_jet(s: ImplicitHypersurface, p):
     return p, g, gnorm, hess
 
 
-def _newton_curvature_ratio(dist: float, gnorm: float, hnorm: float) -> float:
-    """(dist/gnorm) (hnorm/gnorm) from the mantissas and exponents of its factors, so
-    nothing overflows and 2^k f or 2^k x gives the same ratio bitwise. The exponent is
-    capped at 64, so a huge ratio comes back as a finite number above 2^62."""
-    (md, ed), (mg, eg), (mh, eh) = math.frexp(dist), math.frexp(gnorm), math.frexp(hnorm)
-    return math.ldexp(md * mh / (mg * mg), min(ed + eh - 2 * eg, 64))
+def _newton_curvature_ratio(dist: float, gnorm: float, hess: np.ndarray) -> float:
+    """(dist/gnorm) (|H|_F/gnorm) from the mantissas and exponents of its factors, so
+    nothing overflows and 2^k f or 2^k x gives the same ratio bitwise. |H|_F is taken
+    as the norm of H 2^-e times 2^e, so it has an exponent even where it overflows. The
+    exponent is capped at 64, so a huge ratio comes back as a finite number above 2^62."""
+    scaled, e = _pow2_scaled(hess)
+    (md, ed), (mg, eg) = math.frexp(dist), math.frexp(gnorm)
+    mh, eh = math.frexp(frobenius_norm(scaled))
+    return math.ldexp(md * mh / (mg * mg), min(ed + eh + e - 2 * eg, 64))
 
 
 def _tangent(v, normal: np.ndarray, what: str) -> tuple[np.ndarray, int]:
@@ -222,6 +225,8 @@ def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> C
     """Normal, tangent basis, shape operator, and all curvatures at p."""
     p, normal, w, basis = _local_frame(s, p)
     values = _eigenvalues(w)
+    if not np.all(np.isfinite(values)):
+        raise CriticalPointError("the principal curvatures are out of floating-point range")
     curvatures = cluster_multiplicities(values, cluster_tol)
     with np.errstate(over="ignore", invalid="ignore"):
         gauss_kronecker = float(np.prod(values))

@@ -231,6 +231,12 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["curvatures"] == [{"value": -1e150, "multiplicity": 1}]
 
+    def test_tiny_circle_text(self, capsys):
+        # kappa = -1e150 is printed in exponent form, as K and the mean are
+        assert main(["analyze", "--expr", "x1^2 + x2^2", "--level=1e-300", "--point=1e-150,0"]) == 0
+        out = capsys.readouterr().out
+        assert "\n  -1.000000000000e+150  multiplicity 1\n" in out
+
     @pytest.mark.parametrize(
         "expr, level, point",
         [
@@ -238,8 +244,10 @@ class TestAnalyze:
             (f"0.00001*x2 + 5{'0' * 307}*x1^2", "0", "0,0"),
             # W = -1e120 I in R^3 is finite, K = -1e360 is not
             ("x1^2+x2^2+x3^2+x4^2", "1e-240", "1e-120,0,0,0"),
+            # |H|_F = 2.4e308 and W has entries -1.2e308: finite, its eigenvalue -2.4e308 is not
+            (f"6{'0' * 307}*(x1+x2)^2 + x3", "0", "0,0,0"),
         ],
-        ids=["shape-operator", "gauss-kronecker"],
+        ids=["shape-operator", "gauss-kronecker", "principal-curvatures"],
     )
     def test_curvature_out_of_range(self, capsys, expr, level, point):
         with warnings.catch_warnings():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -380,3 +382,21 @@ class TestClusterMultiplicities:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             cluster_multiplicities([0.0, 1.0], 1e-6)
+
+    def test_means_bitwise_equal_to_numpy_mean(self, rng):
+        # every cluster's value is numpy's mean of its members, a single -0.0 included
+        def reference(values, tol):
+            out, start = [], 0
+            for i in range(1, values.size + 1):
+                if i == values.size or abs(values[i] - values[start]) > tol:
+                    out.append((float(values[start:i].mean()), i - start))
+                    start = i
+            return out
+
+        for _ in range(200):
+            values = rng.choice([-0.0, 0.0, 1e-7, -1e-7, 0.5, -1.0, 2.0], size=rng.integers(0, 9))
+            values = np.sort(values + rng.choice([0.0, 1e-3], size=values.size) * rng.normal(size=values.size))
+            for tol in (0.0, 1e-6, 0.5):
+                got, want = cluster_multiplicities(values[::-1], tol), reference(values[::-1], tol)
+                assert [(v.hex(), m) for v, m in got] == [(v.hex(), m) for v, m in want]
+        assert math.copysign(1.0, cluster_multiplicities([-0.0], 0.0)[0][0]) == 1.0

@@ -6,9 +6,15 @@ The payloads are floats or numpy arrays. With float payloads one
 evaluation yields one exact mixed partial; seeding coordinate k with the
 unit vector e_k in both first-order slots (vector mode) makes one
 evaluation yield the whole gradient in d1 and the whole Hessian in d12.
-A field may carry its own jet recipe (determinant_field does), which _jet
-runs in place of that generic pass; the generic pass stays the oracle that
-the recipe must match bitwise.
+
+_jet runs that vector-mode pass on a private ring, _Jet, which keeps d1 and
+d12 in one buffer and no d2 (in vector mode d2 is d1 bitwise) and runs
+HyperDual's float operations in its order, so its gradient and Hessian are
+bitwise those of the HyperDual pass, up to the payload of a NaN (numpy's
+SIMD loops pick which operand's NaN to return by position in the array).
+HyperDual is the public scalar type and the oracle. A field may carry its
+own jet recipe (determinant_field does), which _jet runs in place of the
+ring; it too must match the HyperDual pass bitwise.
 """
 
 from __future__ import annotations
@@ -144,15 +150,104 @@ def ipow(x, k: int):
     return out
 
 
+class _Jet:
+    """The vector-mode HyperDual over a private buffer: a float value and j, one
+    (N + 1, N) float64 array whose row 0 is d1 and whose rows 1..N are d12.
+
+    In vector mode d2 is d1 bitwise, so it is not stored. Every operation runs
+    HyperDual's float operations in its order on each entry; the mixed term of a
+    product adds outer(d1, d1') and its transpose, which is outer(d1', d1) because
+    float multiplication commutes (up to the payload of a NaN). An operation writes
+    only to the buffer it allocates, so values may share buffers.
+    """
+
+    __slots__ = ("value", "j")
+
+    def __init__(self, value: float, j: np.ndarray):
+        self.value = value
+        self.j = j
+
+    def __add__(self, other):
+        if type(other) is _Jet:
+            return _Jet(self.value + other.value, self.j + other.j)
+        if isinstance(other, _SCALARS):
+            return _Jet(float(self.value + other), self.j)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is _Jet:
+            return _Jet(self.value - other.value, self.j - other.j)
+        if isinstance(other, _SCALARS):
+            return _Jet(float(self.value - other), self.j)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, _SCALARS):
+            return _Jet(float(other - self.value), -self.j)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if type(other) is _Jet:
+            a, b = self.j, other.j
+            out = self.value * b
+            m = _outer(a[0], b[0])
+            h = out[1:]
+            h += m
+            h += m.T
+            out += a * other.value
+            return _Jet(self.value * other.value, out)
+        if isinstance(other, _SCALARS):
+            return _Jet(float(self.value * other), self.j * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is _Jet:
+            if other.value == 0.0:
+                raise ZeroDivisionError("division by hyper-dual with zero real part")
+            return self * other._reciprocal()
+        if isinstance(other, _SCALARS):
+            if other == 0:
+                raise ZeroDivisionError("division by zero")
+            return _Jet(float(self.value / other), self.j / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._reciprocal() * other
+        return NotImplemented
+
+    def _reciprocal(self):
+        inv = 1.0 / self.value
+        inv2 = inv * inv
+        a, out = self.j, np.empty_like(self.j)
+        np.multiply(-a[0], inv2, out=out[0])
+        h = out[1:]
+        _outer(2.0 * a[0], a[0], out=h)
+        h *= inv
+        h -= a[1:]
+        h *= inv2
+        return _Jet(inv, out)
+
+    def __neg__(self):
+        return _Jet(-self.value, -self.j)
+
+    __pow__ = HyperDual.__pow__
+
+
 def _jet(field, p) -> tuple[np.ndarray, np.ndarray]:
     """(gradient, Hessian) of a scalar field at p from one vector-mode pass.
 
-    Coordinate k enters as HyperDual(p[k], e_k, e_k, 0). Entry (i, j) of the
-    result runs the float operations of a scalar pass seeded with e_i and
-    e_j; the lower triangle is copied from the upper one, so the Hessian is
-    bitwise symmetric. A field whose output is constant has zero derivatives.
-    A field with a _jet_recipe gets its gradient and upper Hessian from that
-    recipe, which must return bitwise what this generic pass returns.
+    Coordinate k enters as HyperDual(p[k], e_k, e_k, 0), run on the _Jet ring.
+    Entry (i, j) of the result runs the float operations of a scalar pass
+    seeded with e_i and e_j; the lower triangle is copied from the upper one,
+    so the Hessian is bitwise symmetric. A field whose output is constant has
+    zero derivatives. A field with a _jet_recipe gets its gradient and upper
+    Hessian from that recipe, which must return bitwise what the HyperDual
+    pass returns.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size != field.arity:
@@ -162,11 +257,12 @@ def _jet(field, p) -> tuple[np.ndarray, np.ndarray]:
     if recipe is not None:
         grad, hess = recipe(p)
     else:
-        eye, zeros = np.eye(n), np.zeros((n, n))
-        out = field([HyperDual(p[k], eye[k], eye[k], zeros) for k in range(n)])
-        if not isinstance(out, HyperDual):
-            return np.zeros(n), zeros
-        grad, hess = np.array(out.d1, dtype=float), np.array(out.d12, dtype=float)
+        seeds = np.zeros((n, n + 1, n))
+        seeds[:, 0] = np.eye(n)
+        out = field([_Jet(x, j) for x, j in zip(p.tolist(), seeds)])
+        if not isinstance(out, _Jet):
+            return np.zeros(n), np.zeros((n, n))
+        grad, hess = out.j[0].copy(), out.j[1:].copy()
     lower = np.tril_indices(n, -1)
     hess[lower] = hess.T[lower]
     return grad, hess

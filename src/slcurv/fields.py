@@ -13,6 +13,7 @@ gradient and Hessian are bitwise those of the generic HyperDual pass.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 from typing import Callable, Sequence, Union
@@ -128,8 +129,8 @@ def _det_jet(n: int, tables, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def determinant_field(n: int) -> ScalarField:
     """Determinant of the row-major-flattened n x n argument, 1 <= n <= 8.
 
-    The field carries a jet recipe (_det_jet) that autodiff._jet runs in place of the
-    generic HyperDual pass; its gradient and Hessian are bitwise the generic ones.
+    The field carries a jet recipe (_det_jet) that autodiff._jet runs in place of its
+    generic pass; its gradient and Hessian are bitwise those of the HyperDual pass.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"determinant_field supports 1 <= n <= 8, got {n}")
@@ -225,24 +226,21 @@ class ExpressionTree:
         return ScalarField(arity=self.arity, body=lambda a: _eval_node(self.root, a), name=name)
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _eval_node(node: Node, args: Sequence):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
+    # node types tested by how often they occur in a tree
+    kind = type(node)
+    if kind is BinOp:
+        return _BINARY[node.op](_eval_node(node.left, args), _eval_node(node.right, args))
+    if kind is Var:
         return args[node.index]
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, args)
-    if isinstance(node, Pow):
+    if kind is Const:
+        return node.value
+    if kind is Pow:
         return ipow(_eval_node(node.base, args), node.exponent)
-    left = _eval_node(node.left, args)
-    right = _eval_node(node.right, args)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    return left / right
+    return -_eval_node(node.operand, args)
 
 
 def _format_number(v: float) -> str:

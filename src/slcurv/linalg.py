@@ -22,6 +22,7 @@ complement_basis and jacobi_eigh take one vector or one matrix only.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,20 @@ def _pow2_scaled(a) -> tuple[np.ndarray, int]:
     the entries stay normal, and the largest scaled entry lies in [0.5, 1)."""
     e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
     return np.ldexp(a, -e), e
+
+
+def _mean(values) -> float:
+    """The mean of a vector, sum / size, finite wherever it is representable: a sum
+    that overflows is summed again on the values scaled by the power of two just
+    above max|v|, and the mean scaled back, as frobenius_norm does. Where the plain
+    sum is finite, the result is bitwise numpy's mean."""
+    with np.errstate(over="ignore"):
+        total = float(values.sum())
+    if math.isfinite(total):
+        return total / values.size
+    w, e = _pow2_scaled(values)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(w.sum() / values.size, e))
 
 
 def _value(x):
@@ -218,6 +233,7 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
     Frobenius mass drops to tol * |A|_F, at most 100 sweeps; every threshold is
     relative to A, so any scale of A works. Values come back sorted descending
     (stable, so equal values keep their input order), vectors as matching columns.
+    A value out of floating-point range comes back as an inf, without a warning.
     """
     work, scale, norm = _symmetric_scaled(a, "jacobi_eigh")
     n = work.shape[0]
@@ -237,7 +253,8 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
             vecs = vecs @ rot
     else:
         raise JacobiConvergenceError("no convergence within 100 Jacobi sweeps")
-    values = np.ldexp(np.diag(work), scale)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(np.diag(work), scale)
     order = np.argsort(-values, kind="stable")
     return EigenSpectrum(values=values[order], vectors=vecs[:, order])
 
@@ -258,7 +275,7 @@ def cluster_multiplicities(values, cluster_tol: float = 1e-6) -> list[tuple[floa
     for i in range(1, len(v) + 1):
         if i == len(v) or abs(v[i] - v[start]) > cluster_tol:
             # v + 0.0 is bitwise numpy's mean of one value, -0.0 included
-            mean = v[start] + 0.0 if i - start == 1 else float(values[start:i].mean())
+            mean = v[start] + 0.0 if i - start == 1 else _mean(values[start:i])
             clusters.append((mean, i - start))
             start = i
     return clusters

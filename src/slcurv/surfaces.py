@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import _jet
 from .fields import ScalarField
-from .linalg import _eigenvalues, _pow2_scaled, cluster_multiplicities, complement_basis
+from .linalg import _eigenvalues, _mean, _pow2_scaled, cluster_multiplicities, complement_basis
 from .linalg import frobenius_norm
 
 TANGENCY_TOL = 1e-8
@@ -232,7 +232,6 @@ def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> C
         gauss_kronecker = float(np.prod(values))
     if not math.isfinite(gauss_kronecker):
         raise CriticalPointError("the Gauss-Kronecker curvature is out of floating-point range")
-    n_tangent = s.ambient_dim - 1
     return CurvatureReport(
         point=p,
         normal=normal,
@@ -240,7 +239,7 @@ def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> C
         weingarten=w,
         curvatures=curvatures,
         gauss_kronecker=gauss_kronecker,
-        mean=float(np.sum(values) / n_tangent),
+        mean=_mean(values),
         eigenvalues=values,
     )
 

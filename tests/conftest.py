@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from slcurv.autodiff import HyperDual
+
 
 @pytest.fixture
 def rng():
@@ -22,3 +24,19 @@ def fd_gradient(field, p, h=1e-6):
         e[i] = h
         out[i] = (float(field(list(p + e))) - float(field(list(p - e)))) / (2.0 * h)
     return out
+
+
+def hyperdual_jet(field, p):
+    """(gradient, Hessian) from one vector-mode HyperDual pass, the reference for the
+    jets of autodiff._jet: coordinate k enters as HyperDual(p[k], e_k, e_k, 0), and
+    the lower Hessian triangle is copied from the upper one, as _jet does."""
+    p = np.asarray(p, dtype=float)
+    n = p.size
+    eye, zeros = np.eye(n), np.zeros((n, n))
+    out = field([HyperDual(p[k], eye[k], eye[k], zeros) for k in range(n)])
+    if not isinstance(out, HyperDual):
+        return np.zeros(n), zeros
+    grad, hess = np.array(out.d1, dtype=float), np.array(out.d12, dtype=float)
+    lower = np.tril_indices(n, -1)
+    hess[lower] = hess.T[lower]
+    return grad, hess

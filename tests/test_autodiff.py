@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from slcurv.autodiff import HyperDual, gradient, hessian, ipow
-from slcurv.fields import determinant_field, expression_field, quadric_field
+from slcurv.autodiff import HyperDual, _jet, gradient, hessian, ipow
+from slcurv.fields import ScalarField, determinant_field, expression_field, quadric_field
 from slcurv.linalg import det_inverse
 from slcurv.slgroup import random_sl
 
-from conftest import fd_gradient
+from conftest import fd_gradient, hyperdual_jet
 
 
 def random_hyperdual(rng):
@@ -206,3 +206,53 @@ class TestHessian:
                 # worst measured: 6.5e-16 (Hessian) and 7.6e-16 (gradient)
                 assert np.max(np.abs(hessian(field, a.ravel()) - expect)) <= 5e-15 * scale
                 assert np.max(np.abs(gradient(field, a.ravel()) - det * b)) <= 5e-15 * np.max(np.abs(b))
+
+
+def _expression_bodies(n, rng):
+    """Quadratic, quartic, division, linear and constant-output expression texts over x1..xn."""
+    x = [f"x{k % n + 1}" for k in range(n + 3)]
+    quadratic = " + ".join(
+        f"{rng.integers(1, 4)}*{x[k]}^2 - {x[k]}*{x[k + 1]}/{rng.integers(4, 10)}" for k in range(n)
+    )
+    quartic = quadratic + "".join(f" - ({x[k]} + {x[k + 3]})^4/{rng.integers(2, 5)}" for k in range(0, n, 2))
+    division = (
+        f"({x[0]}*{x[1]} - 2*{x[2]})^2 / (1 + {x[0]}*{x[2]} + {x[1]}^2)"
+        f" - 2*{x[1]}^2/({x[0]}*{x[2]}) + 1/{x[n - 1]}"
+    )
+    return [quadratic, quartic, division, f"1 - {x[0]} - 0.5*{x[1]}", "2*x1^0 + 3"]
+
+
+def _jet_or_error(jet, field, p):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return jet(field, p)
+    except ZeroDivisionError as exc:
+        return str(exc)
+
+
+def test_jet_bitwise_equal_to_hyperdual_pass():
+    # the _Jet ring against the HyperDual pass, N = 1..24, at finite points and at
+    # points with signed zeros, infinities, NaNs and 1e200. Bits are compared except
+    # the payload of a NaN: which operand's NaN an IEEE operation returns is left
+    # open, and numpy's SIMD loops choose it by position in the array.
+    rng = np.random.default_rng(13)
+    for n in range(1, 25):
+        fields = [expression_field(text, n) for text in _expression_bodies(n, rng)]
+        fields.append(quadric_field(rng.uniform(-3.0, 3.0, size=n)))
+        fields.append(ScalarField(n, lambda a: a[0] ** 3 - 0.5 / (a[-1] ** 2 + 1.0)))
+        base = rng.uniform(-2.0, 2.0, size=n)
+        points = [base, np.zeros(n), np.full(n, -0.0)]
+        for special in (0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200):
+            p = base.copy()
+            p[rng.integers(n)] = special
+            points.append(p)
+        for field in fields:
+            for p in points:
+                got, want = _jet_or_error(_jet, field, p), _jet_or_error(hyperdual_jet, field, p)
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                for x, y in zip(got, want):
+                    nan = np.isnan(y)
+                    assert np.array_equal(np.isnan(x), nan)
+                    assert np.where(nan, 0.0, x).tobytes() == np.where(nan, 0.0, y).tobytes()

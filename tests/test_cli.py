@@ -259,6 +259,20 @@ class TestAnalyze:
         assert "range" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_huge_curvatures_have_finite_means(self, capsys):
+        # W has eigenvalues 0, -1.2e308, -1.2e308: their sums overflow, their means do not
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        expr = f"x1 + 6{'0' * 307}*(x2^2 + x3^2)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--expr", expr, "--level=0", "--point=0,0,0,0", "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["curvatures"] == [{"value": 0.0, "multiplicity": 1}, {"value": -1.2e308, "multiplicity": 2}]
+        assert doc["mean"] == -8e307
+
     def test_huge_gradient(self, capsys):
         # |grad f| = 3e200: its square overflows, the norm does not
         code = main(["analyze", "--expr", "x1^3 + x2", "--level=1e300", "--point=1e100,0", "--json"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,14 @@ class TestJacobiEigh:
             jacobi_eigh(a)
         assert type(info.value) is ValueError
 
+    def test_value_out_of_range_is_inf_without_warning(self):
+        # a finite matrix whose eigenvalue 2e308 is out of range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = jacobi_eigh(np.full((2, 2), 1e308)).values
+        assert values[0] == np.inf
+        assert np.isfinite(values[1])
+
 
 class TestClusterMultiplicities:
     def test_two_clusters(self):
@@ -400,3 +409,10 @@ class TestClusterMultiplicities:
                 got, want = cluster_multiplicities(values[::-1], tol), reference(values[::-1], tol)
                 assert [(v.hex(), m) for v, m in got] == [(v.hex(), m) for v, m in want]
         assert math.copysign(1.0, cluster_multiplicities([-0.0], 0.0)[0][0]) == 1.0
+
+    def test_means_of_finite_values_are_finite(self):
+        # the sums of these clusters overflow; their means are representable
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cluster_multiplicities([1.7e308, 1.7e308, 1.7e308, 0.0, -1.2e308, -1.2e308])
+        assert got == [(pytest.approx(1.7e308, rel=1e-15), 3), (0.0, 1), (-1.2e308, 2)]

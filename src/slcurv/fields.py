@@ -14,6 +14,7 @@ gradient and Hessian are bitwise those of the generic HyperDual pass.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 from typing import Callable, Sequence, Union
@@ -27,7 +28,7 @@ from .autodiff import ipow
 
 
 class ParseError(ValueError):
-    """Expression rejected at parse time; offset is a byte position."""
+    """Expression rejected at parse time; offset is a character index into the text."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -168,6 +169,10 @@ def sphere_field(dim: int) -> ScalarField:
 #   factor := '-' factor | atom ('^' digits)?
 #   atom   := number | 'x' digits | '(' expr ')'
 #
+# The parser reads one _TOKEN at a time: whitespace (str.isspace), then an
+# ASCII number, a name (a run of str.isalnum characters), one other
+# character, or the end of the text. Offsets are character indices.
+#
 # The parser, evaluator and unparser recurse, and ipow multiplies
 # exponent - 1 times, so parsing bounds both: at most _MAX_DEPTH nested
 # parentheses and unary minuses, a tree at most _MAX_DEPTH operators high,
@@ -175,7 +180,7 @@ def sphere_field(dim: int) -> ScalarField:
 
 _MAX_DEPTH = 128
 _MAX_EXPONENT = 100
-_DIGITS = frozenset("0123456789")
+_TOKEN = re.compile(r"\s*(?:(?P<number>[0-9]+\.?[0-9]*|\.[0-9]*)|(?P<name>[^\W_]+)|(?P<char>\S|\Z))")
 
 
 @dataclass(frozen=True)
@@ -276,27 +281,20 @@ class _Parser:
     def __init__(self, text: str, arity: int):
         self.text = text
         self.arity = arity
-        self.pos = 0
-        self.depth = 0  # open parentheses and unary minuses around pos
+        self.depth = 0  # open parentheses and unary minuses around the lookahead
+        self._advance(0)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def _advance(self, pos: int):
+        # lex the token after pos into the lookahead: its offset, text and kind
+        m = _TOKEN.match(self.text, pos)
+        self.kind = m.lastgroup
+        self.at = m.start(self.kind)
+        self.token = m[self.kind]
 
     def _take(self) -> str:
-        ch = self._peek()
-        self.pos += 1
-        return ch
-
-    def _digits(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        return self.text[start : self.pos]
+        token = self.token
+        self._advance(self.at + len(token))
+        return token
 
     def _enter(self, at: int):
         # called before the parser recurses into '(' or unary minus
@@ -314,96 +312,81 @@ class _Parser:
 
     def parse(self) -> ExpressionTree:
         root, _ = self._expr()
-        self._skip_ws()
-        if self.pos < len(self.text):
-            raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
+        if self.token:
+            raise ParseError(f"unexpected character {self.token[0]!r}", self.at)
         return ExpressionTree(root=root, arity=self.arity)
 
     def _expr(self) -> tuple[Node, int]:
         node, height = self._term()
-        while self._peek() in ("+", "-"):
-            at, op = self.pos, self._take()
+        while self.token in ("+", "-"):
+            at, op = self.at, self._take()
             right, right_height = self._term()
             node, height = BinOp(op=op, left=node, right=right), self._height(at, height, right_height)
         return node, height
 
     def _term(self) -> tuple[Node, int]:
         node, height = self._factor()
-        while self._peek() in ("*", "/"):
-            at, op = self.pos, self._take()
+        while self.token in ("*", "/"):
+            at, op = self.at, self._take()
             right, right_height = self._factor()
             node, height = BinOp(op=op, left=node, right=right), self._height(at, height, right_height)
         return node, height
 
     def _factor(self) -> tuple[Node, int]:
-        if self._peek() == "-":
-            at = self.pos
+        if self.token == "-":
+            at = self.at
             self._enter(at)
             self._take()
             operand, height = self._factor()
             self.depth -= 1
             return Neg(operand=operand), self._height(at, height)
         node, height = self._atom()
-        if self._peek() == "^":
-            at = self.pos
+        if self.token == "^":
+            at = self.at
             self._take()
             node, height = Pow(base=node, exponent=self._exponent()), self._height(at, height)
         return node, height
 
     def _exponent(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        if self._peek() == "-":
-            raise ParseError("negative exponents are not allowed", self.pos)
-        digits = self._digits()
+        at = self.at
+        if self.token == "-":
+            raise ParseError("negative exponents are not allowed", at)
+        # only the leading digits: x1^2.5 is x1^2 followed by '.5'
+        digits = self.token.partition(".")[0] if self.kind == "number" else ""
         if not digits:
-            raise ParseError("exponent must be a non-negative integer literal", start)
+            raise ParseError("exponent must be a non-negative integer literal", at)
         exponent = _bounded_int(digits, _MAX_EXPONENT)
         if exponent > _MAX_EXPONENT:
-            raise ParseError(f"exponent exceeds {_MAX_EXPONENT}", start)
+            raise ParseError(f"exponent exceeds {_MAX_EXPONENT}", at)
+        self._advance(at + len(digits))
         return exponent
 
     def _atom(self) -> tuple[Node, int]:
-        ch = self._peek()
-        start = self.pos
-        if ch == "(":
-            self._enter(start)
+        at, token = self.at, self.token
+        if token == "(":
+            self._enter(at)
             self._take()
             node, height = self._expr()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self.pos)
+            if self.token != ")":
+                raise ParseError("expected ')'", self.at)
             self._take()
             self.depth -= 1
             return node, height
-        if ch in _DIGITS or ch == ".":
-            return Const(value=self._number()), 0
-        if ch.isalpha():
-            return self._variable(), 0
-        raise ParseError("expected a number, variable, or '('", start)
-
-    def _number(self) -> float:
-        start = self.pos
-        self._digits()
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            self._digits()
-        token = self.text[start : self.pos]
-        if token == ".":
-            raise ParseError("malformed number literal", start)
-        return float(token)
-
-    def _variable(self) -> Var:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        name = self.text[start : self.pos]
-        digits = name[1:]
-        if not (name[0] == "x" and digits.isascii() and digits.isdigit()):
-            raise ParseError(f"unknown identifier {name!r}", start)
+        if self.kind == "number":
+            if token == ".":
+                raise ParseError("malformed number literal", at)
+            self._take()
+            return Const(value=float(token)), 0
+        if self.kind != "name" or not token[0].isalpha():
+            raise ParseError("expected a number, variable, or '('", at)
+        digits = token[1:]
+        if not (token[0] == "x" and digits.isascii() and digits.isdigit()):
+            raise ParseError(f"unknown identifier {token!r}", at)
         index = _bounded_int(digits, self.arity)
         if not 1 <= index <= self.arity:
-            raise ParseError(f"variable {name} exceeds arity {self.arity}", start)
-        return Var(index=index - 1)
+            raise ParseError(f"variable {token} exceeds arity {self.arity}", at)
+        self._take()
+        return Var(index=index - 1), 0
 
 
 def parse_expression(text: str, arity: int) -> ExpressionTree:

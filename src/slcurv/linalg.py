@@ -268,10 +268,11 @@ def cluster_multiplicities(values, cluster_tol: float = 1e-6) -> list[tuple[floa
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("cluster_multiplicities expects a vector of values")
-    if values.size and np.any(np.diff(values) > 0):
+    v = values.tolist()
+    if any(b > a for a, b in zip(v, v[1:])):
         raise ValueError("values must be sorted in descending order")
     clusters: list[tuple[float, int]] = []
-    start, v = 0, values.tolist()
+    start = 0
     for i in range(1, len(v) + 1):
         if i == len(v) or abs(v[i] - v[start]) > cluster_tol:
             # v + 0.0 is bitwise numpy's mean of one value, -0.0 included

@@ -139,6 +139,12 @@ class TestAnalyze:
         assert code == 2
         assert "offset" in capsys.readouterr().err
 
+    def test_parse_error_offset_counts_characters(self, capsys):
+        # U+3000 is one character and three UTF-8 bytes
+        code = main(["analyze", "--expr", "\u3000x2", "--level", "0", "--point", "1"])
+        assert code == 2
+        assert "(offset 1)" in capsys.readouterr().err
+
     def test_bad_point(self):
         assert main(["analyze", "--expr", "x1^2", "--level", "1", "--point", "a,b"]) == 2
 

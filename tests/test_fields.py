@@ -6,7 +6,9 @@ from slcurv.fields import (
     _MAX_DEPTH,
     _MAX_EXPONENT,
     ParseError,
+    Pow,
     ScalarField,
+    Var,
     determinant_field,
     evaluate,
     parse_expression,
@@ -204,6 +206,31 @@ class TestParse:
             f"x1^{_MAX_EXPONENT}",
         ):
             assert parse_expression(text, 1).evaluate([1.0]) != 0.0
+
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            ("x1^2.5", "unexpected character '.' (offset 4)"),
+            ("x1 ^ 2", Pow(Var(0), 2)),
+            ("x1^ -2", "negative exponents are not allowed (offset 4)"),
+            ("x1 ^ .5", "exponent must be a non-negative integer literal (offset 5)"),
+            ("1.2.3", "unexpected character '.' (offset 3)"),
+            ("x1_2", "unexpected character '_' (offset 2)"),
+            ("²", "expected a number, variable, or '(' (offset 0)"),
+            ("x²", "unknown identifier 'x²' (offset 0)"),
+            ("x1 +é", "unknown identifier 'é' (offset 4)"),
+            (".", "malformed number literal (offset 0)"),
+            ("\u3000x2", "variable x2 exceeds arity 1 (offset 1)"),
+        ],
+    )
+    def test_token_edges(self, text, outcome):
+        # offsets are character indices; an exponent takes only its leading digits
+        try:
+            got = parse_expression(text, 1).root
+        except ParseError as exc:
+            got = str(exc)
+            assert got.endswith(f"(offset {exc.offset})")
+        assert got == outcome
 
     def test_whitespace_insignificant(self):
         a = parse_expression(" x1 + 2 * x2 ", 2)

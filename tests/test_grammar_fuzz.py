@@ -20,7 +20,7 @@ st = pytest.importorskip("hypothesis.strategies")
 # long sums, huge exponents, indices and literals, and non-ASCII digits,
 # which str.isdigit accepts and int and float reject
 TOKENS = ["x1", "x3", "x0", "x" + "9" * 5000, "y", "2", "0.5", ".", "9" * 400, "(", ")", "-", "+", "*",
-          "/", "^", "^7", "^" + "9" * 5000, " ", "²", "١", "x²", "é"]
+          "/", "^", "^7", "^" + "9" * 5000, " ", "²", "١", "x²", "é", "x1^2.5", "\u3000", "\n", "_"]
 
 ARITY = 3
 
@@ -28,10 +28,12 @@ ARITY = 3
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @hypothesis.given(st.one_of(st.text(max_size=60), st.lists(st.sampled_from(TOKENS), max_size=600).map("".join)))
 def test_parser_raises_only_parse_error(text):
+    # an error names a character offset within the text, or just past its end
     try:
         parse_expression(text, 3)
-    except ParseError:
-        pass
+    except ParseError as exc:
+        assert 0 <= exc.offset <= len(text)
+        assert str(exc).endswith(f"(offset {exc.offset})")
 
 
 LEAVES = st.one_of(

@@ -392,6 +392,18 @@ class TestClusterMultiplicities:
         with pytest.raises(ValueError):
             cluster_multiplicities([0.0, 1.0], 1e-6)
 
+    def test_non_finite_values_do_not_warn(self):
+        # the order test compares neighbours; a difference of infinities would warn
+        inf, nan = math.inf, math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cluster_multiplicities([inf, inf]) == [(inf, 2)]
+            assert cluster_multiplicities([inf, 1.0, -inf]) == [(inf, 1), (1.0, 1), (-inf, 1)]
+            [(mean, size)] = cluster_multiplicities([1.0, nan])
+            assert math.isnan(mean) and size == 2
+            with pytest.raises(ValueError, match="descending"):
+                cluster_multiplicities([-inf, inf])
+
     def test_means_bitwise_equal_to_numpy_mean(self, rng):
         # every cluster's value is numpy's mean of its members, a single -0.0 included
         def reference(values, tol):

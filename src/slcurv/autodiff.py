@@ -12,9 +12,9 @@ d12 in one buffer and no d2 (in vector mode d2 is d1 bitwise) and runs
 HyperDual's float operations in its order, so its gradient and Hessian are
 bitwise those of the HyperDual pass, up to the payload of a NaN (numpy's
 SIMD loops pick which operand's NaN to return by position in the array).
-HyperDual is the public scalar type and the oracle. A field may carry its
-own jet recipe (determinant_field does), which _jet runs in place of the
-ring; it too must match the HyperDual pass bitwise.
+HyperDual is the public scalar type and the oracle. A field's body may carry a
+_jet_recipe (determinant_field's walks the body's own minor table), which _jet
+runs in place of the ring; it too must match the HyperDual pass bitwise.
 """
 
 from __future__ import annotations
@@ -245,15 +245,15 @@ def _jet(field, p) -> tuple[np.ndarray, np.ndarray]:
     Entry (i, j) of the result runs the float operations of a scalar pass
     seeded with e_i and e_j; the lower triangle is copied from the upper one,
     so the Hessian is bitwise symmetric. A field whose output is constant has
-    zero derivatives. A field with a _jet_recipe gets its gradient and upper
-    Hessian from that recipe, which must return bitwise what the HyperDual
-    pass returns.
+    zero derivatives. A field whose body has a _jet_recipe attribute gets its
+    gradient and upper Hessian from that recipe, which must return bitwise what
+    the HyperDual pass returns; the recipe goes wherever the body goes.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size != field.arity:
         raise ValueError(f"point has {p.size} coordinates, field arity is {field.arity}")
     n = p.size
-    recipe = getattr(field, "_jet_recipe", None)
+    recipe = getattr(field.body, "_jet_recipe", None)
     if recipe is not None:
         grad, hess = recipe(p)
     else:

@@ -137,14 +137,8 @@ def _cmd_verify_sl(args) -> int:
     if args.json:
         doc = report_to_dict(report)
         doc.update(
-            {
-                "n": args.n,
-                "tolerance": args.tol,
-                "seed": args.seed,
-                "checks": checks,
-                "max_residual": max_residual,
-                "passed": all_passed,
-            }
+            n=args.n, tolerance=args.tol, seed=args.seed, checks=checks,
+            max_residual=max_residual, passed=all_passed,
         )
         print(json.dumps(doc, indent=2))
     else:
@@ -164,12 +158,12 @@ def _cmd_verify_sl(args) -> int:
 
 
 def _parse_point(text: str) -> np.ndarray:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+    if not text.strip():
+        raise ParseError("point list is empty", 0)
+    try:  # an empty coordinate, as in 1,,0 or 1,0, is not a real either
+        values = [float(part) for part in text.split(",")]
     except ValueError:
         raise ParseError(f"point {text!r} is not a comma-separated list of reals", 0)
-    if not values:
-        raise ParseError("point list is empty", 0)
     if not all(math.isfinite(v) for v in values):
         raise ParseError(f"point {text!r} has a non-finite coordinate", 0)
     return np.asarray(values)

@@ -6,17 +6,17 @@ any of the supported scalar rings. Built-ins cover the determinant of the
 row-major-flattened n x n argument and diagonal quadrics; everything else
 comes from parsed expression text.
 
-The determinant field also carries a private jet recipe: the same cofactor
-expansion run over float arrays, one level of minors at a time, whose
-gradient and Hessian are bitwise those of the generic HyperDual pass.
+One minor table drives the determinant field: its body walks the table over any ring
+and carries, as _jet_recipe, the walk over float arrays one level of minors at a time,
+bitwise equal to the generic HyperDual pass, so a field built on that body keeps it.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, cycle
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -42,11 +42,6 @@ class ScalarField:
     arity: int
     body: Callable[[Sequence], object]
     name: str = ""
-    # (gradient, upper Hessian) at a float point, bitwise equal to the generic
-    # HyperDual pass over body; autodiff._jet uses it when set
-    _jet_recipe: Callable | None = dataclass_field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __call__(self, args: Sequence):
         if len(args) != self.arity:
@@ -56,31 +51,13 @@ class ScalarField:
         return self.body(args)
 
 
-def _cofactor_det(a: Sequence, n: int):
-    # Laplace expansion along the first row, built bottom-up: the minors of the
-    # last k rows, one per k-column subset, are expanded along their first row
-    # from the minors of the last k - 1 rows, so each is computed once, in
-    # n (2^(n-1) - 1) ring multiplications. Division-free, so the recipe is
-    # valid over dual rings with no invertibility requirement.
-    minors = {(c,): a[(n - 1) * n + c] for c in range(n)}
-    for r in range(n - 2, -1, -1):
-        below, minors = minors, {}
-        for cols in combinations(range(n), n - r):
-            acc = a[r * n + cols[0]] * below[cols[1:]]
-            for j in range(1, len(cols)):
-                term = a[r * n + cols[j]] * below[cols[:j] + cols[j + 1 :]]
-                acc = acc + term if j % 2 == 0 else acc - term
-            minors[cols] = acc
-    return minors[tuple(range(n))]
+def _minor_tables(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Laplace expansion along first rows, bottom-up, as index tables for levels 2..n.
 
-
-def _det_jet_tables(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Index tables of _cofactor_det for levels 2..n of its minors.
-
-    Level m lists the m-column subsets of the last m rows in combinations order;
-    level 1 is the last row, coordinates n(n - 1) .. n^2 - 1. Row j of a level's
-    (seed, below) pair holds, per minor, the coordinate that expansion term j
-    multiplies and the position in level m - 1 of the minor it multiplies.
+    Level m lists the m-column subsets of the last m rows in combinations order; level 1
+    is the last row, coordinates n(n - 1) .. n^2 - 1. Row j of a level's (seed, below)
+    pair holds, per minor, the coordinate that term j multiplies and the position in
+    level m - 1 of the minor it multiplies, so each minor is computed once.
     """
     tables = []
     level = list(combinations(range(n), 1))
@@ -91,6 +68,21 @@ def _det_jet_tables(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
         below = [[position[cols[:j] + cols[j + 1 :]] for cols in level] for j in range(n - r)]
         tables.append((np.array(seed), np.array(below)))
     return tables
+
+
+def _cofactor_det(a: Sequence, n: int, levels) -> object:
+    # the minor table over any ring: per minor, the first term's (coordinate, minor
+    # below), then (operator.sub or operator.add, coordinate, minor below) for each
+    # later term. Division-free, so it needs no invertible ring elements.
+    minors = [a[k] for k in range(n * n - n, n * n)]
+    for level in levels:
+        below, minors = minors, []
+        for k, b, terms in level:
+            acc = a[k] * below[b]
+            for sign, k, b in terms:
+                acc = sign(acc, a[k] * below[b])
+            minors.append(acc)
+    return minors[0]
 
 
 def _det_jet(n: int, tables, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,15 +122,23 @@ def _det_jet(n: int, tables, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def determinant_field(n: int) -> ScalarField:
     """Determinant of the row-major-flattened n x n argument, 1 <= n <= 8.
 
-    The field carries a jet recipe (_det_jet) that autodiff._jet runs in place of its
-    generic pass; its gradient and Hessian are bitwise those of the HyperDual pass.
+    The body walks _minor_tables(n) and carries _det_jet over the same tables as its
+    _jet_recipe, which autodiff._jet runs in place of the bitwise-equal generic pass.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"determinant_field supports 1 <= n <= 8, got {n}")
-    field = ScalarField(arity=n * n, body=lambda a: _cofactor_det(a, n), name=f"det{n}")
-    tables = _det_jet_tables(n)
-    object.__setattr__(field, "_jet_recipe", lambda p: _det_jet(n, tables, p))
-    return field
+    tables = _minor_tables(n)
+    signs = (operator.sub, operator.add)
+    levels = [
+        [(k[0], b[0], list(zip(cycle(signs), k[1:], b[1:]))) for k, b in zip(s.T.tolist(), t.T.tolist())]
+        for s, t in tables
+    ]
+
+    def body(a):
+        return _cofactor_det(a, n, levels)
+
+    body._jet_recipe = lambda p: _det_jet(n, tables, p)
+    return ScalarField(arity=n * n, body=body, name=f"det{n}")
 
 
 def quadric_field(coeffs) -> ScalarField:
@@ -375,8 +375,11 @@ class _Parser:
         if self.kind == "number":
             if token == ".":
                 raise ParseError("malformed number literal", at)
+            value = float(token)
+            if value == np.inf:
+                raise ParseError("number literal out of floating-point range", at)
             self._take()
-            return Const(value=float(token)), 0
+            return Const(value=value), 0
         if self.kind != "name" or not token[0].isalpha():
             raise ParseError("expected a number, variable, or '('", at)
         digits = token[1:]

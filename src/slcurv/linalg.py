@@ -265,6 +265,8 @@ def cluster_multiplicities(values, cluster_tol: float = 1e-6) -> list[tuple[floa
     A value joins the open cluster iff it lies within cluster_tol of the
     cluster's first element; each cluster reports its mean and size.
     """
+    if not cluster_tol >= 0.0:
+        raise ValueError(f"cluster_tol must be >= 0, got {cluster_tol!r}")
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("cluster_multiplicities expects a vector of values")

@@ -256,3 +256,14 @@ def test_jet_bitwise_equal_to_hyperdual_pass():
                     nan = np.isnan(y)
                     assert np.array_equal(np.isnan(x), nan)
                     assert np.where(nan, 0.0, x).tobytes() == np.where(nan, 0.0, y).tobytes()
+
+
+def test_jet_runs_the_recipe_on_the_body():
+    # _jet takes a body's _jet_recipe in place of the ring and fills the lower triangle
+    def body(a):
+        return a[0] * a[1]
+
+    body._jet_recipe = lambda p: (p * 10.0, np.array([[1.0, 2.0], [0.0, 3.0]]))
+    grad, hess = _jet(ScalarField(2, body), np.array([1.0, 2.0]))
+    assert grad.tolist() == [10.0, 20.0]
+    assert hess.tolist() == [[1.0, 2.0], [2.0, 3.0]]

@@ -148,6 +148,29 @@ class TestAnalyze:
     def test_bad_point(self):
         assert main(["analyze", "--expr", "x1^2", "--level", "1", "--point", "a,b"]) == 2
 
+    @pytest.mark.parametrize("point", ["1,,0", ",1,0", "1,0,", "1, ,0", ",", "1,0,,"])
+    def test_empty_coordinate(self, capsys, point):
+        # an empty field is an error, not a shorter point
+        code = main(["analyze", "--expr", "x1^2+x2^2", "--level", "1", f"--point={point}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "not a comma-separated list of reals" in captured.err
+
+    @pytest.mark.parametrize("point", ["", "  "])
+    def test_blank_point(self, capsys, point):
+        assert main(["analyze", "--expr", "x1^2+x2^2", "--level", "1", f"--point={point}"]) == 2
+        assert "point list is empty" in capsys.readouterr().err
+
+    def test_number_literal_out_of_range(self, capsys):
+        expr = "x1^2 + x2^2 + x3/1" + "0" * 400
+        code = main(["analyze", f"--expr={expr}", "--level", "1", "--point", "1,0,0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["analyze: number literal out of floating-point range (offset 17)"]
+
     @pytest.mark.parametrize(
         "level, point",
         [("nan", "3,4"), ("1e400", "3,4"), ("-inf", "3,4"), ("25", "nan,4"), ("25", "3,inf")],

@@ -17,10 +17,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 # grammar pieces plus inputs that reach Python's own limits: deep nesting,
-# long sums, huge exponents, indices and literals, and non-ASCII digits,
+# long sums, huge exponents, indices and literals (also past float range), and non-ASCII digits,
 # which str.isdigit accepts and int and float reject
 TOKENS = ["x1", "x3", "x0", "x" + "9" * 5000, "y", "2", "0.5", ".", "9" * 400, "(", ")", "-", "+", "*",
-          "/", "^", "^7", "^" + "9" * 5000, " ", "²", "١", "x²", "é", "x1^2.5", "\u3000", "\n", "_"]
+          "/", "^", "^7", "^" + "9" * 5000, " ", "²", "١", "x²", "é", "x1^2.5", "\u3000", "\n", "_",
+          "1" + "0" * 400 + ".5"]
 
 ARITY = 3
 

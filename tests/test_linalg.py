@@ -422,6 +422,14 @@ class TestClusterMultiplicities:
                 assert [(v.hex(), m) for v, m in got] == [(v.hex(), m) for v, m in want]
         assert math.copysign(1.0, cluster_multiplicities([-0.0], 0.0)[0][0]) == 1.0
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="cluster_tol"):
+            cluster_multiplicities([1.0, 1.0, 0.0], tol)
+
+    def test_infinite_tolerance_is_one_cluster(self):
+        assert cluster_multiplicities([1.0, 1.0, 0.0], math.inf) == [(pytest.approx(2.0 / 3.0), 3)]
+
     def test_means_of_finite_values_are_finite(self):
         # the sums of these clusters overflow; their means are representable
         with warnings.catch_warnings():

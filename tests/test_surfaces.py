@@ -252,6 +252,12 @@ class TestCurvatureReport:
         assert report.gauss_kronecker == pytest.approx(-1.0 / 81.0, rel=1e-9)
         assert report.mean == pytest.approx(1.0 / (4.0 * np.sqrt(3.0)), rel=1e-12)
 
+    @pytest.mark.parametrize("cluster_tol", [float("nan"), -1.0])
+    def test_nan_or_negative_cluster_tol(self, cluster_tol):
+        # nan would put all eight SL(3) values in one cluster, -1 each in its own
+        with pytest.raises(ValueError, match="cluster_tol"):
+            curvature_report(sl_surface(3), np.eye(3).ravel(), cluster_tol=cluster_tol)
+
     def test_sphere(self):
         surface = ImplicitHypersurface(field=sphere_field(3), level=4.0)
         report = curvature_report(surface, [2.0, 0.0, 0.0])

@@ -55,10 +55,8 @@ def report_to_dict(report: CurvatureReport) -> dict:
     }
 
 
-def _print_report_text(report: CurvatureReport):
-    print(f"point            {np.array2string(report.point, precision=10)}")
-    print(f"normal           {np.array2string(report.normal, precision=10)}")
-    print("principal curvatures:")
+def _print_curvatures(report: CurvatureReport, header: str):
+    print(header)
     for value, mult in report.curvatures:
         # fixed point while that keeps 9 or more significant and 8 or fewer integer digits
         spec = " .12f" if value == 0.0 or 1e-4 <= abs(value) < 1e8 else " .12e"
@@ -143,11 +141,7 @@ def _cmd_verify_sl(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(f"SL({args.n}) verification, tolerance {args.tol:g}, seed {args.seed}")
-        print("spectrum at identity:")
-        for value, mult in report.curvatures:
-            print(f"  {value: .12f}  multiplicity {mult}")
-        print(f"gauss_kronecker  {report.gauss_kronecker: .12e}")
-        print(f"mean             {report.mean: .12e}")
+        _print_curvatures(report, "spectrum at identity:")
         for c in checks:
             status = "PASS" if c["passed"] else "FAIL"
             print(f"{status}  {c['name']:<32} residual {c['residual']:.3e}")
@@ -194,7 +188,9 @@ def _cmd_analyze(args) -> int:
     if args.json:
         print(json.dumps(report_to_dict(report), indent=2))
     else:
-        _print_report_text(report)
+        print(f"point            {np.array2string(report.point, precision=10)}")
+        print(f"normal           {np.array2string(report.normal, precision=10)}")
+        _print_curvatures(report, "principal curvatures:")
     return 0
 
 

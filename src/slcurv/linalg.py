@@ -235,6 +235,8 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
     (stable, so equal values keep their input order), vectors as matching columns.
     A value out of floating-point range comes back as an inf, without a warning.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     work, scale, norm = _symmetric_scaled(a, "jacobi_eigh")
     n = work.shape[0]
     vecs, rounds = np.eye(n), _round_robin(n)

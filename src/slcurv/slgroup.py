@@ -188,9 +188,11 @@ def curvatures_at(a) -> tuple[np.ndarray, float, float]:
     as 2 sum (u_i u_j / |u|)^2 / ((n^2-1) |u|), which cancels nothing.
     """
     a = _as_square(a)
+    n = a.shape[0]
+    if n < 2:
+        raise ValueError("principal curvatures are defined for n >= 2")
     d, inv = det_inverse(a)
     _require_unimodular(d)
-    n = a.shape[0]
     u = np.linalg.svd(inv, compute_uv=False)
     r = frobenius_norm(inv)
     i, j = np.triu_indices(n, 1)

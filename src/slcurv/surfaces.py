@@ -8,6 +8,9 @@ of the normalized gradient's Jacobian. Principal curvatures are the
 eigenvalues of W, from LAPACK's symmetric eigensolver (values only, since
 nothing reads the vectors), the Gauss-Kronecker curvature their product,
 the mean curvature their average (trace over N-1).
+
+Each public call builds one local frame (_Frame) at its point from one derivative
+pass: the gradient g, |g|, the Hessian H and the unit normal g/|g|.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ class ImplicitHypersurface:
     on_surface_tol: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.level) and math.isfinite(self.surface_tol())):
+        if not (math.isfinite(self.level) and 0.0 <= self.surface_tol() < math.inf):
             raise ValueError(
-                "level and on_surface_tol must be finite, got "
+                "level must be finite and on_surface_tol finite and >= 0, got "
                 f"level={self.level!r}, on_surface_tol={self.on_surface_tol!r}"
             )
 
@@ -91,8 +94,8 @@ class CurvatureReport:
     eigenvalues: np.ndarray = dataclass_field(repr=False, default=None)
 
 
-def _checked_jet(s: ImplicitHypersurface, p):
-    """(p, gradient, |gradient|, Hessian) at an on-surface, non-critical point.
+class _Frame:
+    """The local geometry at an on-surface, non-critical point, from one derivative pass.
 
     The on-surface check uses a plain-float evaluation, so an off-surface
     point costs no AD pass; one pass then gives the gradient and Hessian.
@@ -103,30 +106,64 @@ def _checked_jet(s: ImplicitHypersurface, p):
     |grad f|/|H|_F, a test whose verdict no change of units (f -> lambda f,
     x -> r x) alters.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size != s.ambient_dim:
-        raise ValueError(f"point must have {s.ambient_dim} coordinates, got {p.size}")
-    value = float(s.field([float(x) for x in p]))
-    if not s._holds_at(value):
-        raise OffSurfaceError(
-            f"point is off-surface: field value {value!r} vs level {s.level!r}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        g, hess = _jet(s.field, p)
-        gnorm = frobenius_norm(g)
-    if not (math.isfinite(gnorm) and np.all(np.isfinite(hess))):
-        raise CriticalPointError(
-            f"gradient or Hessian is not finite (gradient magnitude {gnorm:.3e})"
-        )
-    if gnorm == 0.0:
-        raise CriticalPointError("gradient is zero")
-    ratio = _newton_curvature_ratio(abs(value - s.level), gnorm, hess)
-    if ratio > NEWTON_CURVATURE_RATIO:
-        raise OffSurfaceError(
-            "point is off-surface: distance |f - c|/|grad f| over the curvature radius "
-            f"bound |grad f|/|H|_F is {ratio:.3e} (limit {NEWTON_CURVATURE_RATIO:g})"
-        )
-    return p, g, gnorm, hess
+
+    def __init__(self, s: ImplicitHypersurface, p):
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 1 or p.size != s.ambient_dim:
+            raise ValueError(f"point must have {s.ambient_dim} coordinates, got shape {p.shape}")
+        value = float(s.field([float(x) for x in p]))
+        if not s._holds_at(value):
+            raise OffSurfaceError(
+                f"point is off-surface: field value {value!r} vs level {s.level!r}"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, hess = _jet(s.field, p)
+            gnorm = frobenius_norm(g)
+        if not (math.isfinite(gnorm) and np.all(np.isfinite(hess))):
+            raise CriticalPointError(
+                f"gradient or Hessian is not finite (gradient magnitude {gnorm:.3e})"
+            )
+        if gnorm == 0.0:
+            raise CriticalPointError("gradient is zero")
+        ratio = _newton_curvature_ratio(abs(value - s.level), gnorm, hess)
+        if ratio > NEWTON_CURVATURE_RATIO:
+            raise OffSurfaceError(
+                "point is off-surface: distance |f - c|/|grad f| over the curvature radius "
+                f"bound |grad f|/|H|_F is {ratio:.3e} (limit {NEWTON_CURVATURE_RATIO:g})"
+            )
+        self.point, self.g, self.gnorm, self.hess = p, g, gnorm, hess
+        self.normal = g / gnorm
+
+    def shape_operator(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, T): W = -(T^t H T)/|g| in the Householder complement basis T of g."""
+        if self.point.size < 2:
+            raise ValueError("a level set in R^1 has an empty tangent space, so no curvature")
+        basis = complement_basis(self.g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = -(basis.T @ self.hess @ basis) / self.gnorm
+        if not np.all(np.isfinite(w)):
+            raise CriticalPointError("the shape operator is out of floating-point range")
+        return w, basis
+
+    def tangent(self, v, what: str) -> tuple[np.ndarray, int]:
+        """(v 2^-e, e) for a tangent vector v, scaled so that max|v_i 2^-e| lies in [0.5, 1)."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != self.normal.shape:
+            raise ValueError("vector dimension does not match the ambient dimension")
+        # tested on the scaled v, so that nothing overflows
+        w, e = _pow2_scaled(v)
+        finite = np.all(np.isfinite(v))
+        if not (finite and abs(float(w @ self.normal)) <= TANGENCY_TOL * frobenius_norm(w)):
+            raise NonTangentVectorError(f"{what} is not tangent to the surface at p")
+        return w, e
+
+    def apply(self, v) -> tuple[np.ndarray, int]:
+        """(L(v) 2^-e, e): every step commutes with the exact scaling of v. An entry out
+        of range comes back as an inf or a NaN, without a warning."""
+        w, e = self.tangent(v, "vector")
+        with np.errstate(over="ignore", invalid="ignore"):
+            hw = self.hess @ w
+            return -(hw - self.normal * float(self.normal @ hw)) / self.gnorm, e
 
 
 def _newton_curvature_ratio(dist: float, gnorm: float, hess: np.ndarray) -> float:
@@ -140,19 +177,6 @@ def _newton_curvature_ratio(dist: float, gnorm: float, hess: np.ndarray) -> floa
     return math.ldexp(md * mh / (mg * mg), min(ed + eh + e - 2 * eg, 64))
 
 
-def _tangent(v, normal: np.ndarray, what: str) -> tuple[np.ndarray, int]:
-    """(v 2^-e, e) for a tangent vector v, scaled so that max|v_i 2^-e| lies in [0.5, 1)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != normal.shape:
-        raise ValueError("vector dimension does not match the ambient dimension")
-    # tested on the scaled v, so that nothing overflows
-    w, e = _pow2_scaled(v)
-    finite = np.all(np.isfinite(v))
-    if not (finite and abs(float(w @ normal)) <= TANGENCY_TOL * frobenius_norm(w)):
-        raise NonTangentVectorError(f"{what} is not tangent to the surface at p")
-    return w, e
-
-
 def _scaled_back(x, e: int):
     """x 2^e; OverflowError where that is out of range, not an inf or a NaN."""
     with np.errstate(over="ignore"):
@@ -162,23 +186,9 @@ def _scaled_back(x, e: int):
     return out
 
 
-def _local_frame(s: ImplicitHypersurface, p):
-    """One derivative pass at p: (p, unit normal, W, tangent basis T)."""
-    p, g, gnorm, hess = _checked_jet(s, p)
-    if p.size < 2:
-        raise ValueError("a level set in R^1 has an empty tangent space, so no curvature")
-    basis = complement_basis(g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = -(basis.T @ hess @ basis) / gnorm
-    if not np.all(np.isfinite(w)):
-        raise CriticalPointError("the shape operator is out of floating-point range")
-    return p, g / gnorm, w, basis
-
-
 def unit_normal(s: ImplicitHypersurface, p) -> np.ndarray:
     """Oriented unit normal grad(f)/|grad(f)| at an on-surface point."""
-    _, g, gnorm, _ = _checked_jet(s, p)
-    return g / gnorm
+    return _Frame(s, p).normal
 
 
 def weingarten_matrix(s: ImplicitHypersurface, p) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +197,7 @@ def weingarten_matrix(s: ImplicitHypersurface, p) -> tuple[np.ndarray, np.ndarra
     W = -(T^t H T)/|grad f| with T the Householder complement basis of the
     gradient and H the field Hessian, symmetric up to roundoff.
     """
-    _, _, w, basis = _local_frame(s, p)
-    return w, basis
+    return _Frame(s, p).shape_operator()
 
 
 def weingarten_apply(s: ImplicitHypersurface, p, v) -> np.ndarray:
@@ -198,16 +207,7 @@ def weingarten_apply(s: ImplicitHypersurface, p, v) -> np.ndarray:
     It is computed on v scaled by an exact power of two and scaled back, so a
     large v gives its finite result; a result out of range is an OverflowError.
     """
-    _, g, gnorm, hess = _checked_jet(s, p)
-    return _scaled_back(*_apply_scaled(g, gnorm, hess, v))
-
-
-def _apply_scaled(g, gnorm, hess, v) -> tuple[np.ndarray, int]:
-    # (L(v) 2^-e, e): every step below commutes with the exact scaling of v
-    normal = g / gnorm
-    w, e = _tangent(v, normal, "vector")
-    hw = hess @ w
-    return -(hw - normal * float(normal @ hw)) / gnorm, e
+    return _scaled_back(*_Frame(s, p).apply(v))
 
 
 def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
@@ -215,15 +215,16 @@ def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
 
     A value out of floating-point range is an OverflowError.
     """
-    _, g, gnorm, hess = _checked_jet(s, p)
-    w, ew = _tangent(w, g / gnorm, "second argument")
-    lv, ev = _apply_scaled(g, gnorm, hess, v)
+    frame = _Frame(s, p)
+    w, ew = frame.tangent(w, "second argument")
+    lv, ev = frame.apply(v)
     return float(_scaled_back(lv @ w, ev + ew))
 
 
 def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> CurvatureReport:
     """Normal, tangent basis, shape operator, and all curvatures at p."""
-    p, normal, w, basis = _local_frame(s, p)
+    frame = _Frame(s, p)
+    w, basis = frame.shape_operator()
     values = _eigenvalues(w)
     if not np.all(np.isfinite(values)):
         raise CriticalPointError("the principal curvatures are out of floating-point range")
@@ -233,8 +234,8 @@ def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> C
     if not math.isfinite(gauss_kronecker):
         raise CriticalPointError("the Gauss-Kronecker curvature is out of floating-point range")
     return CurvatureReport(
-        point=p,
-        normal=normal,
+        point=frame.point,
+        normal=frame.normal,
         tangent_basis=basis,
         weingarten=w,
         curvatures=curvatures,
@@ -246,8 +247,8 @@ def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> C
 
 def fd_hessian_oracle(field: ScalarField, p, step: float) -> np.ndarray:
     """Central-finite-difference Hessian, the AD-independent second-derivative check."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     p = np.asarray(p, dtype=float)
     n = p.size
 

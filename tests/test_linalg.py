@@ -229,6 +229,12 @@ class TestJacobiEigh:
         spec = jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(spec.values, [1.0, -1.0], atol=1e-14)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        # neither tolerance can be met, so it is rejected before the first sweep
+        with pytest.raises(ValueError, match="tol"):
+            jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=tol)
+
     def test_sl2_weingarten_spectrum(self):
         # cross-module: the 3x3 shape operator of SL(2) at the identity
         from slcurv.fields import determinant_field

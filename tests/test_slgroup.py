@@ -357,6 +357,11 @@ class TestCurvaturesAt:
         with pytest.raises(ValueError, match="not 1"):
             curvatures_at(np.diag([2.0, 2.0]))
 
+    def test_one_by_one_rejected(self):
+        # SL(1) is a point, with no tangent space and so no curvature
+        with pytest.raises(ValueError, match="n >= 2"):
+            curvatures_at(np.eye(1))
+
 
 class TestFundamentalForms:
     def test_nilpotent(self):

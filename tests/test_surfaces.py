@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import slcurv.surfaces
+from slcurv.autodiff import gradient, hessian
 from slcurv.cli import run_verify_sl
 from slcurv.fields import determinant_field, expression_field, quadric_field, sphere_field
-from slcurv.linalg import frobenius_norm, jacobi_eigh
+from slcurv.linalg import complement_basis, frobenius_norm, jacobi_eigh
 from slcurv.slgroup import gauss_map, principal_curvatures_identity, random_sl, random_special_orthogonal
 from slcurv.surfaces import (
     CriticalPointError,
@@ -102,6 +103,13 @@ class TestUnitNormal:
         strict = ImplicitHypersurface(field=sphere_field(2), level=1.0)
         assert strict.surface_tol() == pytest.approx(2e-9)
         assert not strict.contains([1.01, 0.0])
+        exact = ImplicitHypersurface(field=sphere_field(2), level=1.0, on_surface_tol=0.0)
+        assert exact.contains([1.0, 0.0])
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="on_surface_tol"):
+                ImplicitHypersurface(field=sphere_field(2), level=1.0, on_surface_tol=tol)
+        with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+            unit_normal(sl_surface(2), np.eye(2))
 
 
 class TestWeingartenMatrix:
@@ -144,6 +152,26 @@ class TestWeingartenMatrix:
         for surface, p in surfaces:
             w, _ = weingarten_matrix(surface, p)
             assert frobenius_norm(w - w.T) <= 1e-10 * (1.0 + frobenius_norm(w))
+
+    @pytest.mark.parametrize(
+        "field, p",
+        [
+            (determinant_field(3), random_sl(3, 11).ravel()),
+            (quadric_field([1.0, -2.0, 0.5, 3.0]), np.array([0.3, -1.1, 2.0, 0.7])),
+            (expression_field("x1^3*x2 - x2*x3 + 2/(1 + x3^2)", 3), np.array([0.4, -1.3, 0.9])),
+        ],
+        ids=["determinant", "quadric", "expression"],
+    )
+    def test_formulas_bitwise(self, field, p):
+        # W = -(T^t H T)/|g| with T = complement_basis(g), and N = g/|g|, from the
+        # public gradient and Hessian
+        surface = ImplicitHypersurface(field=field, level=float(field([float(x) for x in p])))
+        g, hess = gradient(field, p), hessian(field, p)
+        basis = complement_basis(g)
+        w, t = weingarten_matrix(surface, p)
+        assert t.tobytes() == basis.tobytes()
+        assert w.tobytes() == (-(basis.T @ hess @ basis) / frobenius_norm(g)).tobytes()
+        assert unit_normal(surface, p).tobytes() == (g / frobenius_norm(g)).tobytes()
 
     def test_basis_rotation_leaves_spectrum(self):
         surface = sl_surface(2)
@@ -219,6 +247,14 @@ class TestWeingartenApply:
                 second_fundamental_form(unit, [1.0, 0.0, 0.0], v, v)
             form = second_fundamental_form(unit, [1.0, 0.0, 0.0], v, 1e-200 * v)
             assert form == pytest.approx(-1e200, rel=1e-15)
+            # |g| = 1e-5 and H = diag(1e308, 0): H w/|g| overflows for w = e1
+            steep = ImplicitHypersurface(
+                field=expression_field("0.00001*x2 + 5" + "0" * 307 + "*x1^2", 2), level=0.0
+            )
+            with pytest.raises(OverflowError):
+                weingarten_apply(steep, [0.0, 0.0], [1.0, 0.0])
+            with pytest.raises(OverflowError):
+                second_fundamental_form(steep, [0.0, 0.0], [1.0, 0.0], [1.0, 0.0])
 
     def test_matches_transpose_rule(self, rng):
         # Weingarten map of SL(n) at the identity sends vec(H) to n^{-1/2} vec(H^t)
@@ -382,5 +418,6 @@ class TestFdHessianOracle:
             assert np.max(np.abs(oracle @ h.ravel() - expect.ravel())) <= 1e-5
 
     def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            fd_hessian_oracle(determinant_field(2), np.eye(2).ravel(), 0.0)
+        for step in (0.0, -1e-4, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="step"):
+                fd_hessian_oracle(determinant_field(2), np.eye(2).ravel(), step)

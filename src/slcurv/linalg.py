@@ -175,10 +175,14 @@ def complement_basis(g) -> np.ndarray:
     norm = frobenius_norm(w)
     if not 0.0 < norm < np.inf:
         raise ValueError("cannot build a complement basis for a zero or non-finite vector")
-    u = w / norm
+    return _householder_complement(w / norm)
+
+
+def _householder_complement(u) -> np.ndarray:
+    """Columns 1..N-1 of the Householder reflector that maps the unit vector u onto the e_1 axis."""
     v = u.copy()
     v[0] += 1.0 if u[0] >= 0.0 else -1.0
-    refl = np.eye(g.size) - np.outer(v, v) * (2.0 / (v @ v))
+    refl = np.eye(u.size) - np.outer(v, v) * (2.0 / (v @ v))
     return refl[:, 1:]
 
 

@@ -73,11 +73,11 @@ def _require_trace_zero(h: np.ndarray) -> None:
     # |tr h| <= 1e-9 (1 + |h|_F) tested on h' = h 2^-e, with max|h'_ij| in [0.5, 1), as
     # |tr h'| <= 1e-9 (2^-e + |h'|_F): the same inequality times a power of two, but no
     # sum overflows. 2^-e is capped at 2^1023, which still accepts any trace of such an h'
-    if np.all(np.isfinite(h)):
+    if h.size and np.all(np.isfinite(h)):
         w, e = _pow2_scaled(h)
         if abs(float(np.trace(w))) <= 1e-9 * (math.ldexp(1.0, min(-e, 1023)) + frobenius_norm(w)):
             return
-    raise ValueError("matrix must be finite and trace-zero to be tangent at the identity")
+    raise ValueError("a tangent at the identity must be a non-empty, finite, trace-zero matrix")
 
 
 def _underflowed(d):
@@ -100,6 +100,8 @@ def gauss_map(a) -> np.ndarray:
     """
     d, inv = det_inverse(a)
     _require_unimodular(d)
+    if inv.shape[-1] == 0:
+        raise ValueError("the Gauss map is defined for n >= 1: R^0 has no unit normal")
     return np.swapaxes(inv, -1, -2) / _per_matrix(frobenius_norm(inv))
 
 

@@ -10,7 +10,7 @@ nothing reads the vectors), the Gauss-Kronecker curvature their product,
 the mean curvature their average (trace over N-1).
 
 Each public call builds one local frame (_Frame) at its point from one derivative
-pass: the gradient g, |g|, the Hessian H and the unit normal g/|g|.
+pass: the gradient g, |g|, the Hessian H, H scaled by a power of two, and the normal g/|g|.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from .autodiff import _jet
 from .fields import ScalarField
-from .linalg import _eigenvalues, _mean, _pow2_scaled, cluster_multiplicities, complement_basis
-from .linalg import frobenius_norm
+from .linalg import _eigenvalues, _householder_complement, _mean, _pow2_scaled
+from .linalg import cluster_multiplicities, frobenius_norm
 
 TANGENCY_TOL = 1e-8
 # largest accepted (|f - c|/|grad f|) (|H|_F/|grad f|): the point's Newton distance
@@ -125,20 +125,22 @@ class _Frame:
             )
         if gnorm == 0.0:
             raise CriticalPointError("gradient is zero")
-        ratio = _newton_curvature_ratio(abs(value - s.level), gnorm, hess)
+        self.hess_scaled, self.eh = _pow2_scaled(hess)
+        ratio = _newton_curvature_ratio(abs(value - s.level), gnorm, self.hess_scaled, self.eh)
         if ratio > NEWTON_CURVATURE_RATIO:
             raise OffSurfaceError(
                 "point is off-surface: distance |f - c|/|grad f| over the curvature radius "
                 f"bound |grad f|/|H|_F is {ratio:.3e} (limit {NEWTON_CURVATURE_RATIO:g})"
             )
-        self.point, self.g, self.gnorm, self.hess = p, g, gnorm, hess
-        self.normal = g / gnorm
+        self.point, self.gnorm, self.hess, self.normal = p, gnorm, hess, g / gnorm
+        if gnorm < 2.0**-1022:  # a subnormal |g| lost bits: normalise the exact 2^600 g instead
+            self.normal = np.ldexp(g, 600) / frobenius_norm(np.ldexp(g, 600))
 
     def shape_operator(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, T): W = -(T^t H T)/|g| in the Householder complement basis T of g."""
+        """(W, T): W = -(T^t H T)/|g| in the Householder complement basis T of the normal."""
         if self.point.size < 2:
             raise ValueError("a level set in R^1 has an empty tangent space, so no curvature")
-        basis = complement_basis(self.g)
+        basis = _householder_complement(self.normal)
         with np.errstate(over="ignore", invalid="ignore"):
             w = -(basis.T @ self.hess @ basis) / self.gnorm
         if not np.all(np.isfinite(w)):
@@ -158,22 +160,21 @@ class _Frame:
         return w, e
 
     def apply(self, v) -> tuple[np.ndarray, int]:
-        """(L(v) 2^-e, e): every step commutes with the exact scaling of v. An entry out
-        of range comes back as an inf or a NaN, without a warning."""
-        w, e = self.tangent(v, "vector")
-        with np.errstate(over="ignore", invalid="ignore"):
-            hw = self.hess @ w
-            return -(hw - self.normal * float(self.normal @ hw)) / self.gnorm, e
+        """(L(v) 2^-e, e) from v, H and |g| = m 2^e_g each split by an exact power of two: in
+        R^d no entry of -(H'w - N (N.H'w))/m exceeds 4 d^1.5 in size, so it is finite."""
+        w, ev = self.tangent(v, "vector")
+        m, eg = math.frexp(self.gnorm)
+        hw = self.hess_scaled @ w
+        return -(hw - self.normal * float(self.normal @ hw)) / m, ev + self.eh - eg
 
 
-def _newton_curvature_ratio(dist: float, gnorm: float, hess: np.ndarray) -> float:
+def _newton_curvature_ratio(dist: float, gnorm: float, hess_scaled: np.ndarray, e: int) -> float:
     """(dist/gnorm) (|H|_F/gnorm) from the mantissas and exponents of its factors, so
     nothing overflows and 2^k f or 2^k x gives the same ratio bitwise. |H|_F is taken
-    as the norm of H 2^-e times 2^e, so it has an exponent even where it overflows. The
-    exponent is capped at 64, so a huge ratio comes back as a finite number above 2^62."""
-    scaled, e = _pow2_scaled(hess)
+    as |H 2^-e|_F 2^e from the frame's scaled H, so it has an exponent even where it
+    overflows. The exponent is capped at 64, so a huge ratio is a finite number > 2^62."""
     (md, ed), (mg, eg) = math.frexp(dist), math.frexp(gnorm)
-    mh, eh = math.frexp(frobenius_norm(scaled))
+    mh, eh = math.frexp(frobenius_norm(hess_scaled))
     return math.ldexp(md * mh / (mg * mg), min(ed + eh + e - 2 * eg, 64))
 
 

@@ -7,7 +7,7 @@ import slcurv.surfaces
 from slcurv.autodiff import gradient, hessian
 from slcurv.cli import run_verify_sl
 from slcurv.fields import determinant_field, expression_field, quadric_field, sphere_field
-from slcurv.linalg import complement_basis, frobenius_norm, jacobi_eigh
+from slcurv.linalg import _pow2_scaled, complement_basis, frobenius_norm, jacobi_eigh
 from slcurv.slgroup import gauss_map, principal_curvatures_identity, random_sl, random_special_orthogonal
 from slcurv.surfaces import (
     CriticalPointError,
@@ -71,6 +71,16 @@ class TestUnitNormal:
         with pytest.raises(CriticalPointError, match="not finite"):
             curvature_report(surface, point)
 
+    def test_subnormal_gradient(self):
+        # |g| = 7.07e-318 is rounded as a subnormal, so g/|g| would miss unit length by
+        # 1.7e-7; the normal comes from 2^600 g instead, and T is complement_basis(g)
+        tiny = "0." + "0" * 317
+        field = expression_field(f"{tiny}1*x1 + {tiny}7*x2 + x1^3", 2)
+        surface, origin = ImplicitHypersurface(field=field, level=0.0), [0.0, 0.0]
+        assert abs(frobenius_norm(unit_normal(surface, origin)) - 1.0) <= 1e-15
+        basis = complement_basis(gradient(field, origin))
+        assert weingarten_matrix(surface, origin)[1].tobytes() == basis.tobytes()
+
     def test_newton_distance_gate(self):
         # on-surface within 1e-9 (1 + |c|), yet 0.71 radii of curvature off the
         # circle of radius 1e-10; a sphere point 1e-10 off its level still passes
@@ -85,8 +95,11 @@ class TestUnitNormal:
     def test_newton_distance_ratio_is_scale_free(self):
         # f -> 2^k f scales distance, |grad f| and |H|_F alike; x -> 2^k x keeps the
         # distance and scales |grad f| by 2^-k and |H|_F by 2^-2k: the ratio is bitwise
-        # unchanged, and extreme factors neither overflow nor divide by zero
-        ratio = slcurv.surfaces._newton_curvature_ratio
+        # unchanged, and extreme factors neither overflow nor divide by zero; the frame
+        # hands over H as (H 2^-e, e)
+        def ratio(d, g, h):
+            return slcurv.surfaces._newton_curvature_ratio(d, g, *_pow2_scaled(h))
+
         d, g, h = 3.1e-6, 0.7, 5.3
         base = ratio(d, g, h)
         for k in (-1000, -40, 0, 40, 1000):
@@ -159,12 +172,17 @@ class TestWeingartenMatrix:
             (determinant_field(3), random_sl(3, 11).ravel()),
             (quadric_field([1.0, -2.0, 0.5, 3.0]), np.array([0.3, -1.1, 2.0, 0.7])),
             (expression_field("x1^3*x2 - x2*x3 + 2/(1 + x3^2)", 3), np.array([0.4, -1.3, 0.9])),
+            (quadric_field([1.0, -2.0, 0.5, 3.0]), np.ldexp([0.3, -1.1, 2.0, 0.7], -500)),
+            (quadric_field([1.0, -2.0, 0.5, 3.0]), np.ldexp([0.3, -1.1, 2.0, 0.7], 500)),
+            (sphere_field(3), np.array([2.0, 0.0, 0.0])),
         ],
-        ids=["determinant", "quadric", "expression"],
+        ids=["determinant", "quadric", "expression", "quadric-2^-500", "quadric-2^500", "sphere-zeros"],
     )
     def test_formulas_bitwise(self, field, p):
         # W = -(T^t H T)/|g| with T = complement_basis(g), and N = g/|g|, from the
-        # public gradient and Hessian
+        # public gradient and Hessian. The pipeline builds T from N, not from g: at
+        # 2^-500 and 2^500, |g| takes frobenius_norm's scaled path, and the sphere's g
+        # has exact-zero components
         surface = ImplicitHypersurface(field=field, level=float(field([float(x) for x in p])))
         g, hess = gradient(field, p), hessian(field, p)
         basis = complement_basis(g)
@@ -255,6 +273,18 @@ class TestWeingartenApply:
                 weingarten_apply(steep, [0.0, 0.0], [1.0, 0.0])
             with pytest.raises(OverflowError):
                 second_fundamental_form(steep, [0.0, 0.0], [1.0, 0.0], [1.0, 0.0])
+            # in R^3, L(e1) is out of range but <L(e1), e2> = -H_12/|g| = 0 is not: the
+            # form is the same in either argument order
+            steep3 = ImplicitHypersurface(
+                field=expression_field("0.00001*x3 + 5" + "0" * 307 + "*x1^2", 3), level=0.0
+            )
+            e1, e2, origin = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]
+            assert second_fundamental_form(steep3, origin, e1, e2) == 0.0
+            assert second_fundamental_form(steep3, origin, e2, e1) == 0.0
+            with pytest.raises(OverflowError):
+                second_fundamental_form(steep3, origin, e1, e1)
+            with pytest.raises(OverflowError):
+                weingarten_apply(steep3, origin, e1)
 
     def test_matches_transpose_rule(self, rng):
         # Weingarten map of SL(n) at the identity sends vec(H) to n^{-1/2} vec(H^t)

@@ -19,6 +19,8 @@ runs in place of the ring; it too must match the HyperDual pass bitwise.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _SCALARS = (int, float, np.integer, np.floating)
@@ -238,6 +240,14 @@ class _Jet:
     __pow__ = HyperDual.__pow__
 
 
+@lru_cache(maxsize=None)
+def _lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # np.tril_indices(n, -1), built once per arity and read-only, since it is shared
+    rows, cols = np.tril_indices(n, -1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _jet(field, p) -> tuple[np.ndarray, np.ndarray]:
     """(gradient, Hessian) of a scalar field at p from one vector-mode pass.
 
@@ -263,16 +273,30 @@ def _jet(field, p) -> tuple[np.ndarray, np.ndarray]:
         if not isinstance(out, _Jet):
             return np.zeros(n), np.zeros((n, n))
         grad, hess = out.j[0].copy(), out.j[1:].copy()
-    lower = np.tril_indices(n, -1)
+    lower = _lower_indices(n)
     hess[lower] = hess.T[lower]
     return grad, hess
 
 
+def _checked_jet(field, p, part: int, what: str) -> np.ndarray:
+    # the public face of _jet: a finite point in, finite values or a ValueError out,
+    # and no warning on the way
+    p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"{what} requires a finite point")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _jet(field, p)[part]
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{what} out of floating-point range")
+    return out
+
+
 def gradient(field, p) -> np.ndarray:
-    """Exact gradient of a scalar field at p."""
-    return _jet(field, p)[0]
+    """Exact gradient of a scalar field at a finite p; a non-finite entry is a ValueError."""
+    return _checked_jet(field, p, 0, "gradient")
 
 
 def hessian(field, p) -> np.ndarray:
-    """Exact Hessian of a scalar field at p, bitwise symmetric."""
-    return _jet(field, p)[1]
+    """Exact Hessian of a scalar field at a finite p, bitwise symmetric; a non-finite
+    entry is a ValueError."""
+    return _checked_jet(field, p, 1, "Hessian")

@@ -156,9 +156,10 @@ def sym_skew_decompose(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def principal_curvatures_identity(n: int) -> list[tuple[float, int]]:
-    """[(+n^{-1/2}, (n^2+n-2)/2), (-n^{-1/2}, (n^2-n)/2)]."""
-    if n < 2:
-        raise ValueError("principal curvatures are defined for n >= 2")
+    """[(+n^{-1/2}, (n^2+n-2)/2), (-n^{-1/2}, (n^2-n)/2)] for an integer n >= 2."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"principal curvatures are defined for integer n >= 2, got {n!r}")
+    n = int(n)
     kappa = n ** -0.5
     return [(kappa, (n * n + n - 2) // 2), (-kappa, (n * n - n) // 2)]
 
@@ -166,6 +167,7 @@ def principal_curvatures_identity(n: int) -> list[tuple[float, int]]:
 def curvature_summary(n: int) -> SLCurvatureSummary:
     """All exact curvature scalars of SL(n) at the identity."""
     (kappa_plus, mult_plus), (kappa_minus, mult_minus) = principal_curvatures_identity(n)
+    n = int(n)
     return SLCurvatureSummary(
         n=n,
         kappa_plus=kappa_plus,

@@ -247,9 +247,15 @@ def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> C
 
 
 def fd_hessian_oracle(field: ScalarField, p, step: float) -> np.ndarray:
-    """Central-finite-difference Hessian, the AD-independent second-derivative check."""
+    """Central-finite-difference Hessian, the AD-independent second-derivative check.
+
+    The step must be positive, and so must its denominator 4 step^2, in float range.
+    """
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step!r}")
+    denominator = 4.0 * float(step) * float(step)
+    if not 0.0 < denominator < math.inf:
+        raise ValueError(f"step {step!r} leaves 4 step^2 = {denominator!r} out of floating-point range")
     p = np.asarray(p, dtype=float)
     n = p.size
 
@@ -263,9 +269,7 @@ def fd_hessian_oracle(field: ScalarField, p, step: float) -> np.ndarray:
         for j in range(i, n):
             ej = np.zeros(n)
             ej[j] = step
-            val = (f(p + ei + ej) - f(p + ei - ej) - f(p - ei + ej) + f(p - ei - ej)) / (
-                4.0 * step * step
-            )
+            val = (f(p + ei + ej) - f(p + ei - ej) - f(p - ei + ej) + f(p - ei - ej)) / denominator
             hess[i, j] = val
             hess[j, i] = val
     return hess

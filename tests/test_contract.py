@@ -1,13 +1,14 @@
-"""The argument contract of the matrix-taking exports: on an edge-case matrix each one
+"""The argument contract of the exports: on an edge-case matrix, scalar or vector, each one
 raises a ValueError subclass or returns finite values, with no warning."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 import slcurv
-from slcurv import EigenSpectrum
+from slcurv import EigenSpectrum, ImplicitHypersurface, determinant_field, expression_field, sphere_field
 
 INPUTS = {
     "0x0": np.zeros((0, 0)),
@@ -44,28 +45,95 @@ TABLE = {
 
 
 def _leaves(out):
-    if isinstance(out, EigenSpectrum):
-        return [out.values, out.vectors]
-    if isinstance(out, tuple):
+    if dataclasses.is_dataclass(out):
+        return _leaves(dataclasses.astuple(out))
+    if isinstance(out, (tuple, list)):
         return [leaf for item in out for leaf in _leaves(item)]
     return [np.asarray(out, dtype=float)]
+
+
+def _check(call, expect, label):
+    # expect is R, F or the value the call is meant to return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expect is R:
+            with pytest.raises(ValueError):
+                call()
+            return
+        got = _leaves(call())
+    if expect is F:
+        assert all(np.all(np.isfinite(leaf)) for leaf in got), (label, got)
+    else:
+        want = _leaves(expect)
+        assert len(got) == len(want), label
+        for x, y in zip(got, want):
+            np.testing.assert_array_equal(x, y, err_msg=label, strict=True)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE))
 def test_matrix_exports_on_edge_inputs(name):
     fn = getattr(slcurv, name)
     for (label, a), expect in zip(INPUTS.items(), TABLE[name], strict=True):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            if expect is R:
-                with pytest.raises(ValueError):
-                    fn(a.copy())
-                continue
-            got = _leaves(fn(a.copy()))
-        if expect is F:
-            assert all(np.all(np.isfinite(leaf)) for leaf in got), (label, got)
-        else:
-            want = _leaves(expect)
-            assert len(got) == len(want), label
-            for x, y in zip(got, want):
-                np.testing.assert_array_equal(x, y, err_msg=label, strict=True)
+        _check(lambda: fn(a.copy()), expect, label)
+
+
+NAN, INF = float("nan"), float("inf")
+SPHERE2, SPHERE3, DET2, DET3 = sphere_field(2), sphere_field(3), determinant_field(2), determinant_field(3)
+RECIPROCAL = expression_field("1/x1", 1)
+CONSTANT = expression_field("1", 0)
+SURFACE = ImplicitHypersurface(SPHERE3, 1.0)
+E1 = [1.0, 0.0, 0.0]
+
+# one row per call of an export on scalar or vector arguments: (label, export,
+# arguments, outcome)
+CALLS = [
+    # n is an integer >= 2, given as int or np.integer
+    ("identity-nan", "principal_curvatures_identity", (NAN,), R),
+    ("identity-2.5", "principal_curvatures_identity", (2.5,), R),
+    ("identity-inf", "principal_curvatures_identity", (INF,), R),
+    ("identity-True", "principal_curvatures_identity", (True,), R),
+    ("identity-1", "principal_curvatures_identity", (1,), R),
+    ("identity-int64", "principal_curvatures_identity", (np.int64(3),), F),
+    ("summary-nan", "curvature_summary", (NAN,), R),
+    ("summary-2.5", "curvature_summary", (2.5,), R),
+    ("summary-inf", "curvature_summary", (INF,), R),
+    ("summary-int64", "curvature_summary", (np.int64(4),), F),
+    # the difference quotient's denominator 4 step^2 must be positive and finite
+    ("fd-underflow", "fd_hessian_oracle", (SPHERE2, [1.0, 0.0], 1e-320), R),
+    ("fd-overflow", "fd_hessian_oracle", (SPHERE2, [1.0, 0.0], 1e300), R),
+    ("fd-half", "fd_hessian_oracle", (SPHERE2, [1.0, 0.0], 0.5), F),
+    # a finite point in, finite derivatives or a ValueError out
+    ("gradient-inf-point", "gradient", (SPHERE3, [INF, 0.0, 0.0]), R),
+    ("gradient-nan-point", "gradient", (SPHERE3, [NAN, 0.0, 0.0]), R),
+    ("hessian-inf-point", "hessian", (SPHERE3, [INF, 0.0, 0.0]), R),
+    ("gradient-det2-large", "gradient", (DET2, [1e200] * 4), F),
+    ("hessian-det2-large", "hessian", (DET2, [1e200] * 4), F),
+    ("gradient-det3-overflow", "gradient", (DET3, [1e200] * 9), R),
+    ("gradient-reciprocal-overflow", "gradient", (RECIPROCAL, [1e-200]), R),
+    ("hessian-reciprocal-overflow", "hessian", (RECIPROCAL, [1e-200]), R),
+    ("gradient-arity-0", "gradient", (CONSTANT, []), F),
+    ("complement-empty", "complement_basis", ([],), R),
+    ("complement-zero", "complement_basis", ([0.0, 0.0],), R),
+    ("complement-negative-zero", "complement_basis", ([-0.0],), R),
+    ("complement-nan", "complement_basis", ([NAN, 1.0],), R),
+    ("complement-inf", "complement_basis", ([INF, 1.0],), R),
+    ("complement-minus-inf", "complement_basis", ([-INF, 1.0],), R),
+    ("complement-1", "complement_basis", ([1.0],), F),
+    ("cluster-empty", "cluster_multiplicities", ([],), []),
+    ("random-sl-1", "random_sl", (1, 0), R),
+    ("random-sl-0", "random_sl", (0, 0), R),
+    ("random-sl-negative", "random_sl", (-1, 0), R),
+    ("random-so-1", "random_special_orthogonal", (1, 0), R),
+    ("random-so-0", "random_special_orthogonal", (0, 0), R),
+    ("weingarten-nan", "weingarten_apply", (SURFACE, E1, [0.0, NAN, 0.0]), R),
+    ("weingarten-inf", "weingarten_apply", (SURFACE, E1, [0.0, INF, 0.0]), R),
+    ("weingarten-minus-inf", "weingarten_apply", (SURFACE, E1, [0.0, -INF, 0.0]), R),
+    ("weingarten-empty", "weingarten_apply", (SURFACE, E1, []), R),
+    ("weingarten-tangent", "weingarten_apply", (SURFACE, E1, [0.0, 1.0, 0.0]), F),
+]
+
+
+@pytest.mark.parametrize("name, args, expect", [row[1:] for row in CALLS], ids=[row[0] for row in CALLS])
+def test_scalar_and_vector_exports_on_edge_inputs(name, args, expect):
+    fn = getattr(slcurv, name)
+    _check(lambda: fn(*args), expect, name)

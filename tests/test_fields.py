@@ -138,6 +138,35 @@ class TestDeterminantField:
                 for x, y in zip(got, want):
                     assert x.tobytes() == y.tobytes()
 
+    def test_batched_recipe_bitwise_equal_to_generic_pass_property(self):
+        # the recipe runs whole levels of terms at n <= 5 and splits the largest
+        # levels into chunks at n = 6..8; both must match the HyperDual pass bitwise,
+        # NaN sign bits included
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        fields = {n: determinant_field(n) for n in range(2, 9)}
+        specials = st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 1e200])
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.integers(2, 8),
+            st.integers(0, 2**32 - 1),
+            st.integers(-160, 160),
+            st.none() | st.tuples(st.integers(0, 63), specials),
+        )
+        @hypothesis.example(5, 0, 0, (0, np.nan))
+        @hypothesis.example(8, 0, 150, None)
+        def check(n, seed, k, replace):
+            p = random_sl(n, seed).ravel() * 2.0**k
+            if replace is not None:
+                p[replace[0] % p.size] = replace[1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = _jet(fields[n], p), hyperdual_jet(fields[n], p)
+            for x, y in zip(got, want):
+                assert x.tobytes() == y.tobytes()
+
+        check()
+
     def test_each_minor_computed_once(self, rng):
         # sum over k = 2..n of k * C(n, k) products, one per entry of each k x k minor
         for n in range(2, 9):

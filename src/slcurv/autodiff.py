@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import _as_point
+
 _SCALARS = (int, float, np.integer, np.floating)
 
 # the mixed term of a product: an outer product of array payloads, the plain
@@ -249,7 +251,7 @@ def _lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jet(field, p) -> tuple[np.ndarray, np.ndarray]:
-    """(gradient, Hessian) of a scalar field at p from one vector-mode pass.
+    """(gradient, Hessian) of a scalar field at a point p from _as_point, in one vector-mode pass.
 
     Coordinate k enters as HyperDual(p[k], e_k, e_k, 0), run on the _Jet ring.
     Entry (i, j) of the result runs the float operations of a scalar pass
@@ -259,9 +261,6 @@ def _jet(field, p) -> tuple[np.ndarray, np.ndarray]:
     gradient and upper Hessian from that recipe, which must return bitwise what
     the HyperDual pass returns; the recipe goes wherever the body goes.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size != field.arity:
-        raise ValueError(f"point has {p.size} coordinates, field arity is {field.arity}")
     n = p.size
     recipe = getattr(field.body, "_jet_recipe", None)
     if recipe is not None:
@@ -281,11 +280,8 @@ def _jet(field, p) -> tuple[np.ndarray, np.ndarray]:
 def _checked_jet(field, p, part: int, what: str) -> np.ndarray:
     # the public face of _jet: a finite point in, finite values or a ValueError out,
     # and no warning on the way
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"{what} requires a finite point")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _jet(field, p)[part]
+        out = _jet(field, _as_point(p, field.arity))[part]
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{what} out of floating-point range")
     return out

@@ -155,12 +155,9 @@ def _parse_point(text: str) -> np.ndarray:
     if not text.strip():
         raise ParseError("point list is empty", 0)
     try:  # an empty coordinate, as in 1,,0 or 1,0, is not a real either
-        values = [float(part) for part in text.split(",")]
+        return np.asarray([float(part) for part in text.split(",")])
     except ValueError:
         raise ParseError(f"point {text!r} is not a comma-separated list of reals", 0)
-    if not all(math.isfinite(v) for v in values):
-        raise ParseError(f"point {text!r} has a non-finite coordinate", 0)
-    return np.asarray(values)
 
 
 def _cmd_analyze(args) -> int:
@@ -168,9 +165,6 @@ def _cmd_analyze(args) -> int:
         point = _parse_point(args.point)
         if args.builtin is not None:
             field, level = determinant_field(args.n), 1.0
-            if point.size != field.arity:
-                need = f"sl with n={args.n} needs {field.arity} point coordinates"
-                raise ValueError(f"{need}, got {point.size}")
         else:
             field, level = expression_field(args.expr, arity=point.size), args.level
         surface = ImplicitHypersurface(field=field, level=level)
@@ -182,7 +176,7 @@ def _cmd_analyze(args) -> int:
     except (OffSurfaceError, CriticalPointError, ZeroDivisionError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # a surface with no curvature to report, e.g. in R^1
+    except ValueError as exc:  # a point the surface's gate rejects, or a level set in R^1
         print(f"analyze: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -22,6 +22,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .autodiff import ipow
+from .linalg import _as_integer
 
 # Row-major flattening, fixed repo-wide: entry (i, j) of an n x n matrix
 # lives at coordinate i * n + j.
@@ -142,8 +143,7 @@ def determinant_field(n: int) -> ScalarField:
     The body walks _minor_tables(n) and carries _det_jet over the same tables as its
     _jet_recipe, which autodiff._jet runs in place of the bitwise-equal generic pass.
     """
-    if not 1 <= n <= 8:
-        raise ValueError(f"determinant_field supports 1 <= n <= 8, got {n}")
+    n = _as_integer(n, 1, 8, "determinant_field n")
     tables = _minor_tables(n)
     signs = (operator.sub, operator.add)
     levels = [
@@ -175,7 +175,7 @@ def quadric_field(coeffs) -> ScalarField:
 
 def sphere_field(dim: int) -> ScalarField:
     """Sum of squares of all coordinates."""
-    return quadric_field([1.0] * dim)
+    return quadric_field([1.0] * _as_integer(dim, 1, np.inf, "sphere_field dim"))
 
 
 # --- expression trees ------------------------------------------------------
@@ -416,9 +416,7 @@ def parse_expression(text: str, arity: int) -> ExpressionTree:
     association for - and /; exponents are integer literals in
     [0, _MAX_EXPONENT], and nesting and tree height are at most _MAX_DEPTH.
     """
-    if arity < 0:
-        raise ValueError("arity must be non-negative")
-    return _Parser(text, arity).parse()
+    return _Parser(text, _as_integer(arity, 0, np.inf, "parse_expression arity")).parse()
 
 
 def expression_field(text: str, arity: int, name: str = "expr") -> ScalarField:

@@ -17,6 +17,9 @@ determinant, det_inverse and frobenius_norm also take a stack of matrices, shape
 call on that matrix alone bitwise, because the stack runs the same LAPACK routine
 or BLAS dot on every matrix. A stack fails as its first failing matrix fails alone.
 complement_basis and jacobi_eigh take one vector or one matrix only.
+
+Each kind of argument has one gate, here: _as_integer for a size (an int or numpy integer,
+not a bool, in a range), _as_point for a finite point of a given length, _as_square for a matrix.
 """
 
 from __future__ import annotations
@@ -54,6 +57,23 @@ def _as_square(a, stack: bool = False) -> np.ndarray:
     if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _as_integer(n, low: int, high: float, what: str) -> int:
+    """int(n) for an int or numpy integer n, not a bool, with low <= n <= high."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not low <= n <= high:
+        raise ValueError(f"{what} must be an integer in [{low}, {high}], got {n!r}")
+    return int(n)
+
+
+def _as_point(p, size: int) -> np.ndarray:
+    """p as a float vector of shape (size,) with finite entries."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (size,):
+        raise ValueError(f"a point here has {size} coordinates, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("a point must have finite coordinates")
+    return p
 
 
 def _as_finite_square(a, caller: str, stack: bool = False) -> np.ndarray:
@@ -277,8 +297,8 @@ def cluster_multiplicities(values, cluster_tol: float = 1e-6) -> list[tuple[floa
     if values.ndim != 1:
         raise ValueError("cluster_multiplicities expects a vector of values")
     v = values.tolist()
-    if any(b > a for a, b in zip(v, v[1:])):
-        raise ValueError("values must be sorted in descending order")
+    if np.any(np.isnan(values)) or any(b > a for a, b in zip(v, v[1:])):
+        raise ValueError("values must be sorted in descending order, with no NaN")
     clusters: list[tuple[float, int]] = []
     start = 0
     for i in range(1, len(v) + 1):

@@ -20,13 +20,12 @@ take one matrix only.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import _as_square, _fails_per_matrix, _pow2_scaled
+from .linalg import _as_integer, _as_square, _fails_per_matrix, _pow2_scaled
 from .linalg import complement_basis, det_inverse, determinant, frobenius_norm
 
 UNIMODULAR_TOL = 1e-9
@@ -69,14 +68,15 @@ def _require_unimodular(d) -> None:
         raise ValueError(f"matrix determinant {d!r} is not 1 within {UNIMODULAR_TOL}")
 
 
-def _require_trace_zero(h: np.ndarray) -> None:
-    # |tr h| <= 1e-9 (1 + |h|_F) tested on h' = h 2^-e, with max|h'_ij| in [0.5, 1), as
-    # |tr h'| <= 1e-9 (2^-e + |h'|_F): the same inequality times a power of two, but no
-    # sum overflows. 2^-e is capped at 2^1023, which still accepts any trace of such an h'
+def _require_trace_zero(h) -> np.ndarray:
+    # h as a float square matrix if |tr h| <= 1e-9 (1 + |h|_F), tested on h' = h 2^-e, max|h'_ij|
+    # in [0.5, 1), as |tr h'| <= 1e-9 (2^-e + |h'|_F): the same inequality times a power of two,
+    # but no sum overflows. 2^-e is capped at 2^1023, which still accepts any trace of such an h'
+    h = _as_square(h)
     if h.size and np.all(np.isfinite(h)):
         w, e = _pow2_scaled(h)
         if abs(float(np.trace(w))) <= 1e-9 * (math.ldexp(1.0, min(-e, 1023)) + frobenius_norm(w)):
-            return
+            return h
     raise ValueError("a tangent at the identity must be a non-empty, finite, trace-zero matrix")
 
 
@@ -141,33 +141,29 @@ def gauss_map_preimage(u) -> np.ndarray:
 
 def weingarten_identity(h) -> np.ndarray:
     """Shape operator of SL(n) at the identity on a trace-zero matrix: n^{-1/2} h^t."""
-    h = _as_square(h)
-    _require_trace_zero(h)
+    h = _require_trace_zero(h)
     n = h.shape[0]
     return h.T / np.sqrt(n)
 
 
 def sym_skew_decompose(h) -> tuple[np.ndarray, np.ndarray]:
     """Split a trace-zero matrix into (trace-zero symmetric, skew-symmetric)."""
-    h = _as_square(h)
-    _require_trace_zero(h)
+    h = _require_trace_zero(h)
     # halved before the sum, so that no sum of entries overflows
     return 0.5 * h + 0.5 * h.T, 0.5 * h - 0.5 * h.T
 
 
 def principal_curvatures_identity(n: int) -> list[tuple[float, int]]:
     """[(+n^{-1/2}, (n^2+n-2)/2), (-n^{-1/2}, (n^2-n)/2)] for an integer n >= 2."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"principal curvatures are defined for integer n >= 2, got {n!r}")
-    n = int(n)
+    n = _as_integer(n, 2, math.inf, "principal_curvatures_identity n")
     kappa = n ** -0.5
     return [(kappa, (n * n + n - 2) // 2), (-kappa, (n * n - n) // 2)]
 
 
 def curvature_summary(n: int) -> SLCurvatureSummary:
     """All exact curvature scalars of SL(n) at the identity."""
+    n = _as_integer(n, 2, math.inf, "curvature_summary n")
     (kappa_plus, mult_plus), (kappa_minus, mult_minus) = principal_curvatures_identity(n)
-    n = int(n)
     return SLCurvatureSummary(
         n=n,
         kappa_plus=kappa_plus,
@@ -215,8 +211,7 @@ def fundamental_forms(h) -> tuple[float, float]:
     First form: tr(h^t h), the ambient inner product. Second form:
     n^{-1/2} tr(h h).
     """
-    h = _as_square(h)
-    _require_trace_zero(h)
+    h = _require_trace_zero(h)
     n = h.shape[0]
     first = float(np.sum(h * h))
     second = float(np.trace(h @ h)) / np.sqrt(n)
@@ -232,9 +227,8 @@ def random_sl(n: int, seed: int | Sequence[int]) -> np.ndarray:
     random_sl(n, seeds[i]): each seed draws from its own generator, and one
     determinant call per round checks every draw still pending.
     """
-    if n < 2:
-        raise ValueError("random_sl is defined for n >= 2")
-    single = isinstance(seed, numbers.Integral)
+    n = _as_integer(n, 2, math.inf, "random_sl n")
+    single = isinstance(seed, (int, np.integer))
     rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
     a, d = np.empty((len(rngs), n, n)), np.empty(len(rngs))
     pending = np.arange(len(rngs))
@@ -255,8 +249,7 @@ def random_sl(n: int, seed: int | Sequence[int]) -> np.ndarray:
 
 def random_special_orthogonal(n: int, seed: int) -> np.ndarray:
     """Seeded random rotation: QR-orthonormalized Gaussian matrix with det +1."""
-    if n < 2:
-        raise ValueError("random_special_orthogonal is defined for n >= 2")
+    n = _as_integer(n, 2, math.inf, "random_special_orthogonal n")
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)

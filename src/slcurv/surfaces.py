@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import _jet
 from .fields import ScalarField
-from .linalg import _eigenvalues, _householder_complement, _mean, _pow2_scaled
+from .linalg import _as_point, _eigenvalues, _householder_complement, _mean, _pow2_scaled
 from .linalg import cluster_multiplicities, frobenius_norm
 
 TANGENCY_TOL = 1e-8
@@ -73,7 +73,7 @@ class ImplicitHypersurface:
         return 1e-9 * (1.0 + abs(self.level))
 
     def contains(self, p) -> bool:
-        return self._holds_at(float(self.field([float(x) for x in np.asarray(p, dtype=float)])))
+        return self._holds_at(float(self.field(_as_point(p, self.ambient_dim).tolist())))
 
     def _holds_at(self, value: float) -> bool:
         # written as <= so that a NaN field value counts as off the surface
@@ -108,10 +108,8 @@ class _Frame:
     """
 
     def __init__(self, s: ImplicitHypersurface, p):
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 1 or p.size != s.ambient_dim:
-            raise ValueError(f"point must have {s.ambient_dim} coordinates, got shape {p.shape}")
-        value = float(s.field([float(x) for x in p]))
+        p = _as_point(p, s.ambient_dim)
+        value = float(s.field(p.tolist()))
         if not s._holds_at(value):
             raise OffSurfaceError(
                 f"point is off-surface: field value {value!r} vs level {s.level!r}"
@@ -256,7 +254,7 @@ def fd_hessian_oracle(field: ScalarField, p, step: float) -> np.ndarray:
     denominator = 4.0 * float(step) * float(step)
     if not 0.0 < denominator < math.inf:
         raise ValueError(f"step {step!r} leaves 4 step^2 = {denominator!r} out of floating-point range")
-    p = np.asarray(p, dtype=float)
+    p = _as_point(p, field.arity)
     n = p.size
 
     def f(x):

@@ -1,4 +1,4 @@
-"""The argument contract of the exports: on an edge-case matrix, scalar or vector, each one
+"""The argument contract of the exports: on an edge-case matrix, size, point or vector, each one
 raises a ValueError subclass or returns finite values, with no warning."""
 
 import dataclasses
@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import slcurv
-from slcurv import EigenSpectrum, ImplicitHypersurface, determinant_field, expression_field, sphere_field
+from slcurv import (
+    EigenSpectrum,
+    ImplicitHypersurface,
+    determinant_field,
+    expression_field,
+    parse_expression,
+    sphere_field,
+)
 
 INPUTS = {
     "0x0": np.zeros((0, 0)),
@@ -82,10 +89,13 @@ SPHERE2, SPHERE3, DET2, DET3 = sphere_field(2), sphere_field(3), determinant_fie
 RECIPROCAL = expression_field("1/x1", 1)
 CONSTANT = expression_field("1", 0)
 SURFACE = ImplicitHypersurface(SPHERE3, 1.0)
-E1 = [1.0, 0.0, 0.0]
+E1, E2 = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+# x1^2 + x3 = 1 holds at (1, y, 0) for every y, and its gradient (2, 0, 1) does not read y
+PARABOLIC = ImplicitHypersurface(expression_field("x1^2 + x3", 3), 1.0)
+INF_POINT, NAN_POINT = [1.0, INF, 0.0], [1.0, NAN, 0.0]
 
 # one row per call of an export on scalar or vector arguments: (label, export,
-# arguments, outcome)
+# arguments, outcome); an export given by name is looked up in slcurv
 CALLS = [
     # n is an integer >= 2, given as int or np.integer
     ("identity-nan", "principal_curvatures_identity", (NAN,), R),
@@ -125,15 +135,50 @@ CALLS = [
     ("random-sl-negative", "random_sl", (-1, 0), R),
     ("random-so-1", "random_special_orthogonal", (1, 0), R),
     ("random-so-0", "random_special_orthogonal", (0, 0), R),
+    # a size is an int or np.integer, not a bool, in the export's range
+    ("random-sl-2.5", "random_sl", (2.5, 0), R),
+    ("random-sl-nan", "random_sl", (NAN, 0), R),
+    ("random-sl-int64", "random_sl", (np.int64(3), 0), F),
+    ("random-so-2.5", "random_special_orthogonal", (2.5, 0), R),
+    ("random-so-int64", "random_special_orthogonal", (np.int64(3), 0), F),
+    ("determinant-field-2.5", "determinant_field", (2.5,), R),
+    ("determinant-field-True", "determinant_field", (True,), R),
+    ("determinant-field-int64", lambda n: determinant_field(n).arity, (np.int64(3),), 9.0),
+    ("sphere-field-2.5", "sphere_field", (2.5,), R),
+    ("sphere-field-0", "sphere_field", (0,), R),
+    ("sphere-field-int64", lambda n: sphere_field(n).arity, (np.int64(2),), 2.0),
+    ("parse-arity-1.5", "parse_expression", ("x1", 1.5), R),
+    ("parse-arity-negative", "parse_expression", ("x1", -1), R),
+    ("parse-arity-int64", lambda n: parse_expression("x1", n).arity, (np.int64(2),), 2.0),
+    ("expression-field-arity-True", "expression_field", ("x1", True), R),
+    # a NaN has no place in a descending order
+    ("cluster-nan-first", "cluster_multiplicities", ([NAN, 1.0],), R),
+    ("cluster-nan-last", "cluster_multiplicities", ([1.0, NAN],), R),
     ("weingarten-nan", "weingarten_apply", (SURFACE, E1, [0.0, NAN, 0.0]), R),
     ("weingarten-inf", "weingarten_apply", (SURFACE, E1, [0.0, INF, 0.0]), R),
     ("weingarten-minus-inf", "weingarten_apply", (SURFACE, E1, [0.0, -INF, 0.0]), R),
     ("weingarten-empty", "weingarten_apply", (SURFACE, E1, []), R),
     ("weingarten-tangent", "weingarten_apply", (SURFACE, E1, [0.0, 1.0, 0.0]), F),
+    # a point of a surface is a vector of its ambient dimension with finite coordinates
+    ("report-inf-point", "curvature_report", (PARABOLIC, INF_POINT), R),
+    ("report-nan-point", "curvature_report", (PARABOLIC, NAN_POINT), R),
+    ("report-finite-point", "curvature_report", (PARABOLIC, [1.0, 0.0, 0.0]), F),
+    ("normal-inf-point", "unit_normal", (PARABOLIC, INF_POINT), R),
+    ("weingarten-matrix-inf-point", "weingarten_matrix", (PARABOLIC, INF_POINT), R),
+    ("weingarten-inf-point", "weingarten_apply", (PARABOLIC, INF_POINT, E2), R),
+    ("second-form-inf-point", "second_fundamental_form", (PARABOLIC, INF_POINT, E2, E2), R),
+    ("contains-inf-point", PARABOLIC.contains, (INF_POINT,), R),
+    ("contains-nan-point", PARABOLIC.contains, (NAN_POINT,), R),
+    ("contains-matrix", PARABOLIC.contains, ([E1],), R),
+    ("contains-short", PARABOLIC.contains, ([1.0, 0.0],), R),
+    ("contains-on-surface", PARABOLIC.contains, ([1.0, 5.0, 0.0],), True),
+    ("fd-nan-point", "fd_hessian_oracle", (PARABOLIC.field, [NAN, 0.0, 0.0], 1e-3), R),
+    ("fd-inf-point", "fd_hessian_oracle", (PARABOLIC.field, INF_POINT, 1e-3), R),
+    ("fd-short-point", "fd_hessian_oracle", (PARABOLIC.field, [1.0, 0.0], 1e-3), R),
 ]
 
 
 @pytest.mark.parametrize("name, args, expect", [row[1:] for row in CALLS], ids=[row[0] for row in CALLS])
 def test_scalar_and_vector_exports_on_edge_inputs(name, args, expect):
-    fn = getattr(slcurv, name)
-    _check(lambda: fn(*args), expect, name)
+    fn = getattr(slcurv, name) if isinstance(name, str) else name
+    _check(lambda: fn(*args), expect, str(name))

@@ -405,10 +405,10 @@ class TestClusterMultiplicities:
             warnings.simplefilter("error")
             assert cluster_multiplicities([inf, inf]) == [(inf, 2)]
             assert cluster_multiplicities([inf, 1.0, -inf]) == [(inf, 1), (1.0, 1), (-inf, 1)]
-            [(mean, size)] = cluster_multiplicities([1.0, nan])
-            assert math.isnan(mean) and size == 2
-            with pytest.raises(ValueError, match="descending"):
-                cluster_multiplicities([-inf, inf])
+            # a NaN has no place in a descending order, so it is never merged into a cluster
+            for values in ([1.0, nan], [nan, 1.0], [nan], [-inf, inf]):
+                with pytest.raises(ValueError, match="descending"):
+                    cluster_multiplicities(values)
 
     def test_means_bitwise_equal_to_numpy_mean(self, rng):
         # every cluster's value is numpy's mean of its members, a single -0.0 included

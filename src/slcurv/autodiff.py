@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _as_point
+from .linalg import _as_integer, _as_point
 
 _SCALARS = (int, float, np.integer, np.floating)
 
@@ -132,20 +132,17 @@ class HyperDual:
         return HyperDual(-self.value, -self.d1, -self.d2, -self.d12)
 
     def __pow__(self, k):
-        if not isinstance(k, (int, np.integer)) or k < 0:
-            raise ValueError("dual powers require a non-negative integer exponent")
-        return ipow(self, int(k))
+        return ipow(self, k)
 
 
 def ipow(x, k: int):
-    """x**k by left-folded repeated multiplication, k a non-negative integer.
+    """x**k by left-folded repeated multiplication, k a non-negative int or numpy integer.
 
     The same multiplication sequence runs for every scalar ring, so the
     value slot of a hyper-dual evaluation matches plain-float evaluation
     bitwise.
     """
-    if k < 0:
-        raise ValueError("ipow requires a non-negative exponent")
+    k = _as_integer(k, 0, np.inf, "exponent")
     if k == 0:
         return 1.0
     out = x

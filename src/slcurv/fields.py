@@ -22,7 +22,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .autodiff import ipow
-from .linalg import _as_integer
+from .linalg import _FLOAT_MAX, _as_integer, _as_real
 
 # Row-major flattening, fixed repo-wide: entry (i, j) of an n x n matrix
 # lives at coordinate i * n + j.
@@ -159,8 +159,8 @@ def determinant_field(n: int) -> ScalarField:
 
 
 def quadric_field(coeffs) -> ScalarField:
-    """Diagonal quadric sum(c_k * x_k^2); arity is len(coeffs)."""
-    coeffs = [float(c) for c in coeffs]
+    """Diagonal quadric sum(c_k * x_k^2); arity is len(coeffs), each c_k a finite real."""
+    coeffs = [float(_as_real(c, -_FLOAT_MAX, _FLOAT_MAX, "quadric_field coeffs")) for c in coeffs]
     if not coeffs:
         raise ValueError("quadric_field needs at least one coefficient")
 

@@ -4,13 +4,13 @@ Everything here targets desk scale (dimension a few dozen): determinant and
 inverse from LAPACK's LU with partial pivoting (numpy's det and inv), the one
 Euclidean norm (frobenius_norm, for vectors and matrices, overflowing only where
 the norm does), a Householder complement basis that depends on g/|g| only and
-rejects only a zero or non-finite g, and two symmetric eigensolvers behind one entry
-gate (finite input, exact power-of-two scaling, a relative symmetry test,
-symmetrization). The curvature pipeline takes its eigenvalues from LAPACK (numpy's
-eigvalsh, no vectors). jacobi_eigh, a parallel-order (round-robin) Jacobi solver with
-vectors, is the oracle the tests hold it to. An exactly zero pivot is the only
-singularity: determinant returns 0.0, det_inverse raises SingularMatrixError, as it
-does for a non-finite inverse. A non-finite matrix is a ValueError.
+rejects only a zero or non-finite g, and two symmetric eigensolvers. The curvature
+pipeline takes its eigenvalues from LAPACK (numpy's eigvalsh, no vectors) through
+_eigenvalues, on a shape operator it has checked finite. jacobi_eigh, a gated
+parallel-order (round-robin) Jacobi solver with vectors, is the oracle the tests hold
+it to. An exactly zero pivot is the only singularity: determinant returns 0.0,
+det_inverse raises SingularMatrixError, as it does for a non-finite inverse. A
+non-finite matrix is a ValueError.
 
 determinant, det_inverse and frobenius_norm also take a stack of matrices, shape
 (..., n, n) with ndim >= 3, and then return one value per matrix; each equals the
@@ -18,17 +18,21 @@ call on that matrix alone bitwise, because the stack runs the same LAPACK routin
 or BLAS dot on every matrix. A stack fails as its first failing matrix fails alone.
 complement_basis and jacobi_eigh take one vector or one matrix only.
 
-Each kind of argument has one gate, here: _as_integer for a size (an int or numpy integer,
-not a bool, in a range), _as_point for a finite point of a given length, _as_square for a matrix.
+Each kind of argument from outside the program has one gate, here, applied once where
+it enters: _as_integer for a size, _as_real for a real scalar, _as_point for a finite
+point of a given length, _as_square for a matrix. What the pipeline makes passes none.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+_FLOAT_MAX = sys.float_info.max  # so [-_FLOAT_MAX, _FLOAT_MAX] holds every finite float
 
 
 class SingularMatrixError(ValueError):
@@ -64,6 +68,18 @@ def _as_integer(n, low: int, high: float, what: str) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not low <= n <= high:
         raise ValueError(f"{what} must be an integer in [{low}, {high}], got {n!r}")
     return int(n)
+
+
+def _as_real(x, low: float, high: float, what: str):
+    """x, unconverted so the caller's arithmetic is unchanged, for an int, float or numpy
+    number x with low <= x <= high. A bool is not a real here, nor an int with no float
+    value (|x| > _FLOAT_MAX), and a NaN fails the range."""
+    real = isinstance(x, (float, np.integer, np.floating)) or (
+        isinstance(x, int) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
+    )
+    if not (real and low <= x <= high):
+        raise ValueError(f"{what} must be a real number in [{low}, {high}], got {x!r}")
+    return x
 
 
 def _as_point(p, size: int) -> np.ndarray:
@@ -218,33 +234,18 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(a, b)[:, n % 2 :], np.maximum(a, b)[:, n % 2 :]
 
 
-def _symmetric_scaled(a, caller: str) -> tuple[np.ndarray, int, float]:
-    """The entry gate of both eigensolvers: (S, e, |A 2^-e|_F) with S = 1/2 (A' + A'^t)
-    for A' = A 2^-e, 2^e the power of two just above max|a_ij|.
+def _eigenvalues(w) -> np.ndarray:
+    """Eigenvalues of the shape operator W, descending, from LAPACK (numpy's eigvalsh).
 
-    The scaling is exact, so every threshold is relative to A and no norm overflows
-    or underflows. A non-finite matrix is a ValueError, and one with
-    |A - A^t|_F > 1e-8 |A|_F a NonSymmetricMatrixError.
+    The caller guarantees W finite and symmetric up to roundoff (the frame checks it
+    finite and builds it symmetric), so nothing is checked. LAPACK rescales a tiny or
+    huge matrix by factors that are not powers of two (seen for max|w_ij| from about
+    2^-404 down), so the exact W' = W 2^-e makes 2^k W give 2^k times the values
+    bitwise; eigvalsh reads 1/2 (W' + W'^t). A value out of range comes back as an inf.
     """
-    a, scale = _pow2_scaled(_as_finite_square(a, caller))
-    norm = frobenius_norm(a)
-    if frobenius_norm(a - a.T) > 1e-8 * norm:
-        raise NonSymmetricMatrixError(f"{caller} requires a symmetric matrix")
-    return 0.5 * (a + a.T), scale, norm
-
-
-def _eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, descending, from LAPACK (numpy's eigvalsh).
-
-    Through the gate jacobi_eigh uses. LAPACK rescales a very small or very large
-    matrix by factors that are not powers of two (seen for max|a_ij| from about
-    2^-404 down), so the gate's exact pre-scaling is what makes 2^k A give 2^k times
-    the values bitwise. A value out of floating-point range comes back as an inf,
-    without a warning.
-    """
-    sym, scale, _ = _symmetric_scaled(a, "eigvalsh")
+    w, scale = _pow2_scaled(w)
     with np.errstate(over="ignore"):
-        return np.ldexp(np.linalg.eigvalsh(sym)[::-1], scale)
+        return np.ldexp(np.linalg.eigvalsh(0.5 * (w + w.T))[::-1], scale)
 
 
 def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
@@ -257,11 +258,15 @@ def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
     Frobenius mass drops to tol * |A|_F, at most 100 sweeps; every threshold is
     relative to A, so any scale of A works. Values come back sorted descending
     (stable, so equal values keep their input order), vectors as matching columns.
-    A value out of floating-point range comes back as an inf, without a warning.
+    A value out of floating-point range comes back as an inf, without a warning. A
+    non-finite A is a ValueError, |A - A^t|_F > 1e-8 |A|_F a NonSymmetricMatrixError.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
-    work, scale, norm = _symmetric_scaled(a, "jacobi_eigh")
+    _as_real(tol, 0.0, math.inf, "jacobi_eigh tol")
+    a, scale = _pow2_scaled(_as_finite_square(a, "jacobi_eigh"))
+    norm = frobenius_norm(a)
+    if frobenius_norm(a - a.T) > 1e-8 * norm:
+        raise NonSymmetricMatrixError("jacobi_eigh requires a symmetric matrix")
+    work = 0.5 * (a + a.T)
     n = work.shape[0]
     vecs, rounds = np.eye(n), _round_robin(n)
     for _ in range(100):
@@ -291,8 +296,7 @@ def cluster_multiplicities(values, cluster_tol: float = 1e-6) -> list[tuple[floa
     A value joins the open cluster iff it lies within cluster_tol of the
     cluster's first element; each cluster reports its mean and size.
     """
-    if not cluster_tol >= 0.0:
-        raise ValueError(f"cluster_tol must be >= 0, got {cluster_tol!r}")
+    _as_real(cluster_tol, 0.0, math.inf, "cluster_tol")
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("cluster_multiplicities expects a vector of values")

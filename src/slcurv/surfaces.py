@@ -22,8 +22,8 @@ import numpy as np
 
 from .autodiff import _jet
 from .fields import ScalarField
-from .linalg import _as_point, _eigenvalues, _householder_complement, _mean, _pow2_scaled
-from .linalg import cluster_multiplicities, frobenius_norm
+from .linalg import _FLOAT_MAX, _as_point, _as_real, _eigenvalues, _householder_complement, _mean
+from .linalg import _pow2_scaled, cluster_multiplicities, frobenius_norm
 
 TANGENCY_TOL = 1e-8
 # largest accepted (|f - c|/|grad f|) (|H|_F/|grad f|): the point's Newton distance
@@ -57,11 +57,9 @@ class ImplicitHypersurface:
     on_surface_tol: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.level) and 0.0 <= self.surface_tol() < math.inf):
-            raise ValueError(
-                "level must be finite and on_surface_tol finite and >= 0, got "
-                f"level={self.level!r}, on_surface_tol={self.on_surface_tol!r}"
-            )
+        _as_real(self.level, -_FLOAT_MAX, _FLOAT_MAX, "level")
+        if self.on_surface_tol is not None:
+            _as_real(self.on_surface_tol, 0.0, _FLOAT_MAX, "on_surface_tol")
 
     @property
     def ambient_dim(self) -> int:
@@ -249,8 +247,7 @@ def fd_hessian_oracle(field: ScalarField, p, step: float) -> np.ndarray:
 
     The step must be positive, and so must its denominator 4 step^2, in float range.
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step!r}")
+    _as_real(step, 0.0, _FLOAT_MAX, "step")
     denominator = 4.0 * float(step) * float(step)
     if not 0.0 < denominator < math.inf:
         raise ValueError(f"step {step!r} leaves 4 step^2 = {denominator!r} out of floating-point range")

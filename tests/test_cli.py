@@ -288,6 +288,18 @@ class TestAnalyze:
         assert "range" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_plane_written_as_square_plus_linear(self, capsys):
+        # W cancels to roundoff here, so it is symmetric only to roundoff, and still flat
+        expr = "(3*x1 - 3*x2 - 2*x3)^2 + (3*x1 - 3*x2 - 2*x3)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--expr", expr, "--level=0", "--point=0,0,0", "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["multiplicity"] for c in doc["curvatures"]] == [2]
+        bound = np.finfo(float).eps * 2.0 * np.sqrt(22.0)  # eps |H|_F/|g|, as in test_surfaces
+        assert abs(doc["curvatures"][0]["value"]) <= bound and abs(doc["mean"]) <= bound
+
     def test_huge_curvatures_have_finite_means(self, capsys):
         # W has eigenvalues 0, -1.2e308, -1.2e308: their sums overflow, their means do not
         def reject(constant):

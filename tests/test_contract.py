@@ -10,12 +10,14 @@ import pytest
 import slcurv
 from slcurv import (
     EigenSpectrum,
+    HyperDual,
     ImplicitHypersurface,
     determinant_field,
     expression_field,
     parse_expression,
     sphere_field,
 )
+from slcurv.autodiff import ipow
 
 INPUTS = {
     "0x0": np.zeros((0, 0)),
@@ -93,6 +95,8 @@ E1, E2 = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
 # x1^2 + x3 = 1 holds at (1, y, 0) for every y, and its gradient (2, 0, 1) does not read y
 PARABOLIC = ImplicitHypersurface(expression_field("x1^2 + x3", 3), 1.0)
 INF_POINT, NAN_POINT = [1.0, INF, 0.0], [1.0, NAN, 0.0]
+# an int with no float value
+HUGE = 10**400
 
 # one row per call of an export on scalar or vector arguments: (label, export,
 # arguments, outcome); an export given by name is looked up in slcurv
@@ -175,6 +179,44 @@ CALLS = [
     ("fd-nan-point", "fd_hessian_oracle", (PARABOLIC.field, [NAN, 0.0, 0.0], 1e-3), R),
     ("fd-inf-point", "fd_hessian_oracle", (PARABOLIC.field, INF_POINT, 1e-3), R),
     ("fd-short-point", "fd_hessian_oracle", (PARABOLIC.field, [1.0, 0.0], 1e-3), R),
+    # a real scalar is an int, float or numpy number, not a bool, in its argument's range
+    ("surface-level-str", "ImplicitHypersurface", (SPHERE2, "1"), R),
+    ("surface-level-None", "ImplicitHypersurface", (SPHERE2, None), R),
+    ("surface-level-True", "ImplicitHypersurface", (SPHERE2, True), R),
+    ("surface-level-huge", "ImplicitHypersurface", (SPHERE2, HUGE), R),
+    ("surface-tol-str", "ImplicitHypersurface", (SPHERE2, 1.0, "0.1"), R),
+    ("surface-tol-True", "ImplicitHypersurface", (SPHERE2, 1.0, True), R),
+    ("surface-tol-huge", "ImplicitHypersurface", (SPHERE2, 1.0, HUGE), R),
+    ("fd-step-str", "fd_hessian_oracle", (SPHERE2, [1.0, 0.0], "0.1"), R),
+    ("fd-step-None", "fd_hessian_oracle", (SPHERE2, [1.0, 0.0], None), R),
+    ("fd-step-True", "fd_hessian_oracle", (SPHERE2, [1.0, 0.0], True), R),
+    ("fd-step-huge", "fd_hessian_oracle", (SPHERE2, [1.0, 0.0], HUGE), R),
+    ("jacobi-tol-str", "jacobi_eigh", (np.eye(2), "x"), R),
+    ("jacobi-tol-None", "jacobi_eigh", (np.eye(2), None), R),
+    ("jacobi-tol-True", "jacobi_eigh", (np.eye(2), True), R),
+    ("jacobi-tol-huge", "jacobi_eigh", (np.eye(2), HUGE), R),
+    ("cluster-tol-str", "cluster_multiplicities", ([1.0], "x"), R),
+    ("cluster-tol-None", "cluster_multiplicities", ([1.0], None), R),
+    ("cluster-tol-True", "cluster_multiplicities", ([1.0], True), R),
+    ("cluster-tol-huge", "cluster_multiplicities", ([1.0], HUGE), R),
+    ("report-cluster-tol-str", "curvature_report", (SURFACE, E1, "x"), R),
+    ("report-cluster-tol-None", "curvature_report", (SURFACE, E1, None), R),
+    ("report-cluster-tol-True", "curvature_report", (SURFACE, E1, True), R),
+    ("report-cluster-tol-huge", "curvature_report", (SURFACE, E1, HUGE), R),
+    # a quadric's coefficients are finite reals
+    ("quadric-str", "quadric_field", (["1.5"],), R),
+    ("quadric-None", "quadric_field", ([None],), R),
+    ("quadric-True", "quadric_field", ([1.0, True],), R),
+    ("quadric-nan", "quadric_field", ([NAN],), R),
+    ("quadric-inf", "quadric_field", ([1.0, INF],), R),
+    ("quadric-minus-inf", "quadric_field", ([-INF],), R),
+    ("quadric-huge", "quadric_field", ([HUGE],), R),
+    # an exponent is a non-negative int or np.integer, for ipow and ** alike
+    ("power-True", lambda k: HyperDual(2.0, 1.0) ** k, (True,), R),
+    ("ipow-True", ipow, (2.0, True), R),
+    ("ipow-float", ipow, (2.0, 2.0), R),
+    ("ipow-str", ipow, (2.0, "2"), R),
+    ("ipow-None", ipow, (2.0, None), R),
 ]
 
 

@@ -324,6 +324,26 @@ class TestCurvatureReport:
         with pytest.raises(ValueError, match="cluster_tol"):
             curvature_report(sl_surface(3), np.eye(3).ravel(), cluster_tol=cluster_tol)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_plane_written_as_square_plus_linear_is_flat(self, n):
+        # (l.x)^2 + l.x = 0 is the plane l.x = 0 near the origin. T^t H T with H = 2 l l^t
+        # cancels to roundoff, so W is a tiny matrix, symmetric only to roundoff relative
+        # to |H|_F/|g| = 2|l|. The worst curvature measured here is 0.26 eps 2|l|; the
+        # mean and K lie below the largest curvature, so one bound, eps 2|l|, holds all
+        rng = np.random.default_rng(1000 + n)
+        eps = np.finfo(float).eps
+        for _ in range(40):
+            l = rng.integers(-3, 4, size=n)
+            l[rng.integers(n)] = rng.choice([-2, -1, 1, 2, 3])
+            linear = " + ".join(f"({c})*x{i + 1}" for i, c in enumerate(l.tolist()))
+            field = expression_field(f"({linear})^2 + ({linear})", n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = curvature_report(ImplicitHypersurface(field=field, level=0.0), np.zeros(n))
+            bound = eps * 2.0 * np.linalg.norm(l)
+            assert np.max(np.abs(report.eigenvalues)) <= bound, l
+            assert abs(report.gauss_kronecker) <= bound and abs(report.mean) <= bound, l
+
     def test_sphere(self):
         surface = ImplicitHypersurface(field=sphere_field(3), level=4.0)
         report = curvature_report(surface, [2.0, 0.0, 0.0])

@@ -6,11 +6,11 @@ Euclidean norm (frobenius_norm, for vectors and matrices, overflowing only where
 the norm does), a Householder complement basis that depends on g/|g| only and
 rejects only a zero or non-finite g, and two symmetric eigensolvers. The curvature
 pipeline takes its eigenvalues from LAPACK (numpy's eigvalsh, no vectors) through
-_eigenvalues, on a shape operator it has checked finite. jacobi_eigh, a gated
-parallel-order (round-robin) Jacobi solver with vectors, is the oracle the tests hold
-it to. An exactly zero pivot is the only singularity: determinant returns 0.0,
-det_inverse raises SingularMatrixError, as it does for a non-finite inverse. A
-non-finite matrix is a ValueError.
+_eigenvalues, on the frame's W' = W 2^-e with max|W'_ij| in [0.5, 1), and scales them
+back itself. jacobi_eigh, a gated parallel-order (round-robin) Jacobi solver with
+vectors, is the oracle the tests hold it to. An exactly zero pivot is the only
+singularity: determinant returns 0.0, det_inverse raises SingularMatrixError, as it
+does for a non-finite inverse. A non-finite matrix is a ValueError.
 
 determinant, det_inverse and frobenius_norm also take a stack of matrices, shape
 (..., n, n) with ndim >= 3, and then return one value per matrix; each equals the
@@ -63,10 +63,17 @@ def _as_square(a, stack: bool = False) -> np.ndarray:
     return a
 
 
+def _shown(x) -> str:
+    """repr(x), or an int with no float value by its bit length: Python prints no int of
+    more than 4300 digits, and they would say no more than the size does."""
+    big = isinstance(x, int) and abs(x) > _FLOAT_MAX
+    return f"{'a negative' if x < 0 else 'an'} int of {x.bit_length()} bits" if big else repr(x)
+
+
 def _as_integer(n, low: int, high: float, what: str) -> int:
     """int(n) for an int or numpy integer n, not a bool, with low <= n <= high."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not low <= n <= high:
-        raise ValueError(f"{what} must be an integer in [{low}, {high}], got {n!r}")
+        raise ValueError(f"{what} must be an integer in [{low}, {high}], got {_shown(n)}")
     return int(n)
 
 
@@ -78,7 +85,7 @@ def _as_real(x, low: float, high: float, what: str):
         isinstance(x, int) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
     )
     if not (real and low <= x <= high):
-        raise ValueError(f"{what} must be a real number in [{low}, {high}], got {x!r}")
+        raise ValueError(f"{what} must be a real number in [{low}, {high}], got {_shown(x)}")
     return x
 
 
@@ -235,17 +242,8 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigenvalues(w) -> np.ndarray:
-    """Eigenvalues of the shape operator W, descending, from LAPACK (numpy's eigvalsh).
-
-    The caller guarantees W finite and symmetric up to roundoff (the frame checks it
-    finite and builds it symmetric), so nothing is checked. LAPACK rescales a tiny or
-    huge matrix by factors that are not powers of two (seen for max|w_ij| from about
-    2^-404 down), so the exact W' = W 2^-e makes 2^k W give 2^k times the values
-    bitwise; eigvalsh reads 1/2 (W' + W'^t). A value out of range comes back as an inf.
-    """
-    w, scale = _pow2_scaled(w)
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.linalg.eigvalsh(0.5 * (w + w.T))[::-1], scale)
+    """Eigenvalues of 1/2 (W' + W'^t), descending, for the frame's W': nothing is checked."""
+    return np.linalg.eigvalsh(0.5 * (w + w.T))[::-1]
 
 
 def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:

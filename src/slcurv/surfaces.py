@@ -5,12 +5,13 @@ operator is minus the derivative of that normal field restricted to the
 tangent space; in an orthonormal tangent basis T it reduces to
 W = -(T^t H T)/|grad f| because T^t annihilates the rank-one correction
 of the normalized gradient's Jacobian. Principal curvatures are the
-eigenvalues of W, from LAPACK's symmetric eigensolver (values only, since
-nothing reads the vectors), the Gauss-Kronecker curvature their product,
-the mean curvature their average (trace over N-1).
+eigenvalues of W, the Gauss-Kronecker curvature their product, the mean
+curvature their average (trace over N-1).
 
-Each public call builds one local frame (_Frame) at its point from one derivative
-pass: the gradient g, |g|, the Hessian H, H scaled by a power of two, and the normal g/|g|.
+Each public call builds one local frame (_Frame) at its point from one derivative pass:
+the normal g/|g|, and H and |g| each split by an exact power of two. From these come W'
+= W 2^-e, which linalg._eigenvalues reads, and L(v); W, the curvatures and L(v) then
+leave the float range in one place, _scaled_back.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ TANGENCY_TOL = 1e-8
 # largest accepted (|f - c|/|grad f|) (|H|_F/|grad f|): the point's Newton distance
 # from the surface over a bound on the radius of curvature there
 NEWTON_CURVATURE_RATIO = 1e-6
+_W_OUT_OF_RANGE = "the shape operator is out of floating-point range"
+_LV_OUT_OF_RANGE = "the shape operator's value is out of floating-point range"
 
 
 class OffSurfaceError(ValueError):
@@ -121,27 +124,27 @@ class _Frame:
             )
         if gnorm == 0.0:
             raise CriticalPointError("gradient is zero")
-        self.hess_scaled, self.eh = _pow2_scaled(hess)
+        (self.hess_scaled, self.eh), (self.gm, self.eg) = _pow2_scaled(hess), math.frexp(gnorm)
         ratio = _newton_curvature_ratio(abs(value - s.level), gnorm, self.hess_scaled, self.eh)
         if ratio > NEWTON_CURVATURE_RATIO:
             raise OffSurfaceError(
                 "point is off-surface: distance |f - c|/|grad f| over the curvature radius "
                 f"bound |grad f|/|H|_F is {ratio:.3e} (limit {NEWTON_CURVATURE_RATIO:g})"
             )
-        self.point, self.gnorm, self.hess, self.normal = p, gnorm, hess, g / gnorm
+        self.point, self.normal = p, g / gnorm
         if gnorm < 2.0**-1022:  # a subnormal |g| lost bits: normalise the exact 2^600 g instead
             self.normal = np.ldexp(g, 600) / frobenius_norm(np.ldexp(g, 600))
 
-    def shape_operator(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, T): W = -(T^t H T)/|g| in the Householder complement basis T of the normal."""
+    def shape_operator(self) -> tuple[np.ndarray, int, np.ndarray]:
+        """(W', e, T): W = W' 2^e = -(T^t H T)/|g| in the Householder complement basis T of
+        the normal, W' = -(T^t H' T)/m normalised so that max|W'_ij| lies in [0.5, 1). LAPACK
+        rescales a tiny or huge matrix by factors that are not powers of two (seen for
+        max|W_ij| from about 2^-404 down), so the eigensolve reads W', exact at any scale."""
         if self.point.size < 2:
             raise ValueError("a level set in R^1 has an empty tangent space, so no curvature")
         basis = _householder_complement(self.normal)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = -(basis.T @ self.hess @ basis) / self.gnorm
-        if not np.all(np.isfinite(w)):
-            raise CriticalPointError("the shape operator is out of floating-point range")
-        return w, basis
+        w, e = _pow2_scaled(-(basis.T @ self.hess_scaled @ basis) / self.gm)
+        return w, e + self.eh - self.eg, basis
 
     def tangent(self, v, what: str) -> tuple[np.ndarray, int]:
         """(v 2^-e, e) for a tangent vector v, scaled so that max|v_i 2^-e| lies in [0.5, 1)."""
@@ -156,12 +159,11 @@ class _Frame:
         return w, e
 
     def apply(self, v) -> tuple[np.ndarray, int]:
-        """(L(v) 2^-e, e) from v, H and |g| = m 2^e_g each split by an exact power of two: in
+        """(L(v) 2^-e, e) from v, H and |g| = m 2^eg each split by an exact power of two: in
         R^d no entry of -(H'w - N (N.H'w))/m exceeds 4 d^1.5 in size, so it is finite."""
         w, ev = self.tangent(v, "vector")
-        m, eg = math.frexp(self.gnorm)
         hw = self.hess_scaled @ w
-        return -(hw - self.normal * float(self.normal @ hw)) / m, ev + self.eh - eg
+        return -(hw - self.normal * float(self.normal @ hw)) / self.gm, ev + self.eh - self.eg
 
 
 def _newton_curvature_ratio(dist: float, gnorm: float, hess_scaled: np.ndarray, e: int) -> float:
@@ -174,12 +176,12 @@ def _newton_curvature_ratio(dist: float, gnorm: float, hess_scaled: np.ndarray, 
     return math.ldexp(md * mh / (mg * mg), min(ed + eh + e - 2 * eg, 64))
 
 
-def _scaled_back(x, e: int):
-    """x 2^e; OverflowError where that is out of range, not an inf or a NaN."""
+def _scaled_back(x, e: int, error: Exception):
+    """x 2^e, raising error where that is out of range, not returning an inf or a NaN."""
     with np.errstate(over="ignore"):
         out = np.ldexp(x, e)
     if not np.all(np.isfinite(out)):
-        raise OverflowError("the shape operator's value is out of floating-point range")
+        raise error
     return out
 
 
@@ -194,7 +196,8 @@ def weingarten_matrix(s: ImplicitHypersurface, p) -> tuple[np.ndarray, np.ndarra
     W = -(T^t H T)/|grad f| with T the Householder complement basis of the
     gradient and H the field Hessian, symmetric up to roundoff.
     """
-    return _Frame(s, p).shape_operator()
+    w, e, basis = _Frame(s, p).shape_operator()
+    return _scaled_back(w, e, CriticalPointError(_W_OUT_OF_RANGE)), basis
 
 
 def weingarten_apply(s: ImplicitHypersurface, p, v) -> np.ndarray:
@@ -204,7 +207,7 @@ def weingarten_apply(s: ImplicitHypersurface, p, v) -> np.ndarray:
     It is computed on v scaled by an exact power of two and scaled back, so a
     large v gives its finite result; a result out of range is an OverflowError.
     """
-    return _scaled_back(*_Frame(s, p).apply(v))
+    return _scaled_back(*_Frame(s, p).apply(v), OverflowError(_LV_OUT_OF_RANGE))
 
 
 def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
@@ -215,30 +218,26 @@ def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
     frame = _Frame(s, p)
     w, ew = frame.tangent(w, "second argument")
     lv, ev = frame.apply(v)
-    return float(_scaled_back(lv @ w, ev + ew))
+    return float(_scaled_back(lv @ w, ev + ew, OverflowError(_LV_OUT_OF_RANGE)))
 
 
 def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> CurvatureReport:
     """Normal, tangent basis, shape operator, and all curvatures at p."""
     frame = _Frame(s, p)
-    w, basis = frame.shape_operator()
-    values = _eigenvalues(w)
-    if not np.all(np.isfinite(values)):
-        raise CriticalPointError("the principal curvatures are out of floating-point range")
-    curvatures = cluster_multiplicities(values, cluster_tol)
+    w, e, basis = frame.shape_operator()
+    weingarten = _scaled_back(w, e, CriticalPointError(_W_OUT_OF_RANGE))
+    error = CriticalPointError("the principal curvatures are out of floating-point range")
+    values = _scaled_back(_eigenvalues(w), e, error)
     with np.errstate(over="ignore", invalid="ignore"):
         gauss_kronecker = float(np.prod(values))
-    if not math.isfinite(gauss_kronecker):
-        raise CriticalPointError("the Gauss-Kronecker curvature is out of floating-point range")
+    if not math.isfinite(gauss_kronecker):  # a partial product overflowed (inf, or inf 0 = NaN)
+        mantissas, exponents = np.frexp(values)
+        error = CriticalPointError("the Gauss-Kronecker curvature is out of floating-point range")
+        gauss_kronecker = float(_scaled_back(np.prod(mantissas), int(exponents.sum()), error))
     return CurvatureReport(
-        point=frame.point,
-        normal=frame.normal,
-        tangent_basis=basis,
-        weingarten=w,
-        curvatures=curvatures,
-        gauss_kronecker=gauss_kronecker,
-        mean=_mean(values),
-        eigenvalues=values,
+        point=frame.point, normal=frame.normal, tangent_basis=basis, weingarten=weingarten,
+        curvatures=cluster_multiplicities(values, cluster_tol), gauss_kronecker=gauss_kronecker,
+        mean=_mean(values), eigenvalues=values,
     )
 
 

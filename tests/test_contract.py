@@ -2,6 +2,7 @@
 raises a ValueError subclass or returns finite values, with no warning."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -62,11 +63,12 @@ def _leaves(out):
 
 
 def _check(call, expect, label):
-    # expect is R, F or the value the call is meant to return
+    # expect is R, F, a pattern that the ValueError's message must match, or the value
+    # the call is meant to return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if expect is R:
-            with pytest.raises(ValueError):
+        if expect is R or isinstance(expect, re.Pattern):
+            with pytest.raises(ValueError, match=None if expect is R else expect):
                 call()
             return
         got = _leaves(call())
@@ -95,8 +97,8 @@ E1, E2 = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
 # x1^2 + x3 = 1 holds at (1, y, 0) for every y, and its gradient (2, 0, 1) does not read y
 PARABOLIC = ImplicitHypersurface(expression_field("x1^2 + x3", 3), 1.0)
 INF_POINT, NAN_POINT = [1.0, INF, 0.0], [1.0, NAN, 0.0]
-# an int with no float value
-HUGE = 10**400
+# an int with no float value, and one too long for Python to print (over 4300 digits)
+HUGE, GIANT = 10**400, 10**5000
 
 # one row per call of an export on scalar or vector arguments: (label, export,
 # arguments, outcome); an export given by name is looked up in slcurv
@@ -199,6 +201,10 @@ CALLS = [
     ("cluster-tol-None", "cluster_multiplicities", ([1.0], None), R),
     ("cluster-tol-True", "cluster_multiplicities", ([1.0], True), R),
     ("cluster-tol-huge", "cluster_multiplicities", ([1.0], HUGE), R),
+    # a rejected int is shown by its size, so the message still names the argument
+    ("jacobi-tol-giant", "jacobi_eigh", ([[1.0]], GIANT), re.compile(r"jacobi_eigh tol .* 16610 bits")),
+    ("summary-giant", "curvature_summary", (-GIANT,), re.compile(r"curvature_summary n .* 16610 bits")),
+    ("cluster-tol-giant", "cluster_multiplicities", ([1.0], GIANT), re.compile(r"cluster_tol .* 16610 bits")),
     ("report-cluster-tol-str", "curvature_report", (SURFACE, E1, "x"), R),
     ("report-cluster-tol-None", "curvature_report", (SURFACE, E1, None), R),
     ("report-cluster-tol-True", "curvature_report", (SURFACE, E1, True), R),

@@ -344,6 +344,23 @@ class TestCurvatureReport:
             assert np.max(np.abs(report.eigenvalues)) <= bound, l
             assert abs(report.gauss_kronecker) <= bound and abs(report.mean) <= bound, l
 
+    @pytest.mark.parametrize(
+        "decay, gauss_kronecker",
+        [
+            # kappa = 1e200, 1e200, 1e-100: the partial product 1e200 1e200 overflows, K does not
+            (f" - 0.{'0' * 100}5*x3^2", 1e300),
+            # kappa = 1e200, 1e200, 0 on a cylinder: the plain product is inf 0, a NaN
+            ("", 0.0),
+        ],
+        ids=["finite-product", "cylinder"],
+    )
+    def test_gauss_kronecker_past_an_overflowing_partial_product(self, decay, gauss_kronecker):
+        field = expression_field(f"x4 - 5{'0' * 199}*(x1^2 + x2^2){decay}", 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = curvature_report(ImplicitHypersurface(field=field, level=0.0), np.zeros(4))
+        assert report.gauss_kronecker == pytest.approx(gauss_kronecker, rel=1e-15)
+
     def test_sphere(self):
         surface = ImplicitHypersurface(field=sphere_field(3), level=4.0)
         report = curvature_report(surface, [2.0, 0.0, 0.0])

@@ -6,9 +6,9 @@ Euclidean norm (frobenius_norm, for vectors and matrices, overflowing only where
 the norm does), a Householder complement basis that depends on g/|g| only and
 rejects only a zero or non-finite g, and two symmetric eigensolvers. The curvature
 pipeline takes its eigenvalues from LAPACK (numpy's eigvalsh, no vectors) through
-_eigenvalues, on the frame's W' = W 2^-e with max|W'_ij| in [0.5, 1), and scales them
-back itself. jacobi_eigh, a gated parallel-order (round-robin) Jacobi solver with
-vectors, is the oracle the tests hold it to. An exactly zero pivot is the only
+_eigenvalues, as (values 2^-e, e) from W' = W 2^-e with max|W'_ij| in [0.5, 1), and
+the caller scales them back. jacobi_eigh, a gated parallel-order (round-robin) Jacobi
+solver with vectors, is the oracle the tests hold it to. An exactly zero pivot is the only
 singularity: determinant returns 0.0, det_inverse raises SingularMatrixError, as it
 does for a non-finite inverse. A non-finite matrix is a ValueError.
 
@@ -126,10 +126,10 @@ def _fails_per_matrix(fn):
     return checked
 
 
-def _pow2_scaled(a) -> tuple[np.ndarray, int]:
-    """(a * 2^-e, e) with 2^e the power of two just above max|a_ij|: exact while
-    the entries stay normal, and the largest scaled entry lies in [0.5, 1)."""
-    e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+def _pow2_scaled(a, top: int = 0) -> tuple[np.ndarray, int]:
+    """(a * 2^-e, e) with 2^(e + top) the power of two just above max|a_ij|: exact while
+    the entries stay normal, and the largest scaled entry lies in [2^(top - 1), 2^top)."""
+    e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1]) - top
     return np.ldexp(a, -e), e
 
 
@@ -241,9 +241,14 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(a, b)[:, n % 2 :], np.maximum(a, b)[:, n % 2 :]
 
 
-def _eigenvalues(w) -> np.ndarray:
-    """Eigenvalues of 1/2 (W' + W'^t), descending, for the frame's W': nothing is checked."""
-    return np.linalg.eigvalsh(0.5 * (w + w.T))[::-1]
+def _eigenvalues(w) -> tuple[np.ndarray, int]:
+    """(values 2^-e, e): the eigenvalues of the frame's W, descending, from eigvalsh on
+    1/2 (W' + W'^t), W' = W 2^-e with max|W'_ij| in [0.5, 1); nothing is checked. LAPACK
+    rescales a tiny or huge matrix by factors that are not powers of two (seen for
+    max|W_ij| from about 2^-404 down), so it reads the exact W' and 2^k W gives 2^k
+    times the values bitwise."""
+    w, e = _pow2_scaled(w)
+    return np.linalg.eigvalsh(0.5 * (w + w.T))[::-1], e
 
 
 def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:

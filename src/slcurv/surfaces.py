@@ -10,8 +10,8 @@ curvature their average (trace over N-1).
 
 Each public call builds one local frame (_Frame) at its point from one derivative pass:
 the normal g/|g|, and H and |g| each split by an exact power of two. From these come W'
-= W 2^-e, which linalg._eigenvalues reads, and L(v); W, the curvatures and L(v) then
-leave the float range in one place, _scaled_back.
+= W 2^-e and L(v); linalg._eigenvalues returns W's eigenvalues with an exponent of their
+own, and W, the curvatures, K, L(v) and the form leave the float range in _scaled_back.
 """
 
 from __future__ import annotations
@@ -124,8 +124,15 @@ class _Frame:
             )
         if gnorm == 0.0:
             raise CriticalPointError("gradient is zero")
-        (self.hess_scaled, self.eh), (self.gm, self.eg) = _pow2_scaled(hess), math.frexp(gnorm)
-        ratio = _newton_curvature_ratio(abs(value - s.level), gnorm, self.hess_scaled, self.eh)
+        # max|H'_ij| lies just below 2^t, t = 1020 - 3 bits(N): no product the frame forms
+        # exceeds 4 N^2.5 2^t < 2^1023, and entries down to 2^-(t + 1022) of it stay normal
+        t = 1020 - 3 * p.size.bit_length()
+        self.hess_scaled, self.eh = _pow2_scaled(hess, t)
+        self.gm, self.eg = math.frexp(gnorm)
+        # |H'|_F^2 overflows and sends frobenius_norm down its slow path, so the ratio
+        # reads H' 2^-t, whose largest entry lies in [0.5, 1)
+        hess_unit = np.ldexp(self.hess_scaled, -t)
+        ratio = _newton_curvature_ratio(abs(value - s.level), self.gm, self.eg, hess_unit, self.eh + t)
         if ratio > NEWTON_CURVATURE_RATIO:
             raise OffSurfaceError(
                 "point is off-surface: distance |f - c|/|grad f| over the curvature radius "
@@ -137,14 +144,12 @@ class _Frame:
 
     def shape_operator(self) -> tuple[np.ndarray, int, np.ndarray]:
         """(W', e, T): W = W' 2^e = -(T^t H T)/|g| in the Householder complement basis T of
-        the normal, W' = -(T^t H' T)/m normalised so that max|W'_ij| lies in [0.5, 1). LAPACK
-        rescales a tiny or huge matrix by factors that are not powers of two (seen for
-        max|W_ij| from about 2^-404 down), so the eigensolve reads W', exact at any scale."""
+        the normal, from the frame's splits as W' = -(T^t H' T)/m: no entry exceeds 2 N^1.5 2^t,
+        and entries down to about 2^-2000 of the largest stay normal."""
         if self.point.size < 2:
             raise ValueError("a level set in R^1 has an empty tangent space, so no curvature")
         basis = _householder_complement(self.normal)
-        w, e = _pow2_scaled(-(basis.T @ self.hess_scaled @ basis) / self.gm)
-        return w, e + self.eh - self.eg, basis
+        return -(basis.T @ self.hess_scaled @ basis) / self.gm, self.eh - self.eg, basis
 
     def tangent(self, v, what: str) -> tuple[np.ndarray, int]:
         """(v 2^-e, e) for a tangent vector v, scaled so that max|v_i 2^-e| lies in [0.5, 1)."""
@@ -160,28 +165,28 @@ class _Frame:
 
     def apply(self, v) -> tuple[np.ndarray, int]:
         """(L(v) 2^-e, e) from v, H and |g| = m 2^eg each split by an exact power of two: in
-        R^d no entry of -(H'w - N (N.H'w))/m exceeds 4 d^1.5 in size, so it is finite."""
+        R^d no entry of -(H'w - N (N.H'w))/m exceeds 4 d^1.5 2^t in size, so it is finite."""
         w, ev = self.tangent(v, "vector")
         hw = self.hess_scaled @ w
         return -(hw - self.normal * float(self.normal @ hw)) / self.gm, ev + self.eh - self.eg
 
 
-def _newton_curvature_ratio(dist: float, gnorm: float, hess_scaled: np.ndarray, e: int) -> float:
-    """(dist/gnorm) (|H|_F/gnorm) from the mantissas and exponents of its factors, so
-    nothing overflows and 2^k f or 2^k x gives the same ratio bitwise. |H|_F is taken
-    as |H 2^-e|_F 2^e from the frame's scaled H, so it has an exponent even where it
+def _newton_curvature_ratio(dist: float, mg: float, eg: int, hess_scaled: np.ndarray, e: int) -> float:
+    """(dist/|g|) (|H|_F/|g|) from the mantissas and exponents of its factors, so nothing
+    overflows and 2^k f or 2^k x gives the same ratio bitwise. |g| = mg 2^eg and |H|_F =
+    |H 2^-e|_F 2^e come from the frame's splits, so |H|_F has an exponent even where it
     overflows. The exponent is capped at 64, so a huge ratio is a finite number > 2^62."""
-    (md, ed), (mg, eg) = math.frexp(dist), math.frexp(gnorm)
+    md, ed = math.frexp(dist)
     mh, eh = math.frexp(frobenius_norm(hess_scaled))
     return math.ldexp(md * mh / (mg * mg), min(ed + eh + e - 2 * eg, 64))
 
 
-def _scaled_back(x, e: int, error: Exception):
-    """x 2^e, raising error where that is out of range, not returning an inf or a NaN."""
+def _scaled_back(x, e: int, error: type[Exception], message: str):
+    """x 2^e; error(message) where that is out of range, not an inf or a NaN."""
     with np.errstate(over="ignore"):
         out = np.ldexp(x, e)
-    if not np.all(np.isfinite(out)):
-        raise error
+    if not np.isfinite(out).all():
+        raise error(message)
     return out
 
 
@@ -197,7 +202,7 @@ def weingarten_matrix(s: ImplicitHypersurface, p) -> tuple[np.ndarray, np.ndarra
     gradient and H the field Hessian, symmetric up to roundoff.
     """
     w, e, basis = _Frame(s, p).shape_operator()
-    return _scaled_back(w, e, CriticalPointError(_W_OUT_OF_RANGE)), basis
+    return _scaled_back(w, e, CriticalPointError, _W_OUT_OF_RANGE), basis
 
 
 def weingarten_apply(s: ImplicitHypersurface, p, v) -> np.ndarray:
@@ -207,7 +212,7 @@ def weingarten_apply(s: ImplicitHypersurface, p, v) -> np.ndarray:
     It is computed on v scaled by an exact power of two and scaled back, so a
     large v gives its finite result; a result out of range is an OverflowError.
     """
-    return _scaled_back(*_Frame(s, p).apply(v), OverflowError(_LV_OUT_OF_RANGE))
+    return _scaled_back(*_Frame(s, p).apply(v), OverflowError, _LV_OUT_OF_RANGE)
 
 
 def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
@@ -218,26 +223,31 @@ def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
     frame = _Frame(s, p)
     w, ew = frame.tangent(w, "second argument")
     lv, ev = frame.apply(v)
-    return float(_scaled_back(lv @ w, ev + ew, OverflowError(_LV_OUT_OF_RANGE)))
+    return float(_scaled_back(lv @ w, ev + ew, OverflowError, _LV_OUT_OF_RANGE))
 
 
 def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> CurvatureReport:
     """Normal, tangent basis, shape operator, and all curvatures at p."""
     frame = _Frame(s, p)
     w, e, basis = frame.shape_operator()
-    weingarten = _scaled_back(w, e, CriticalPointError(_W_OUT_OF_RANGE))
-    error = CriticalPointError("the principal curvatures are out of floating-point range")
-    values = _scaled_back(_eigenvalues(w), e, error)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gauss_kronecker = float(np.prod(values))
-    if not math.isfinite(gauss_kronecker):  # a partial product overflowed (inf, or inf 0 = NaN)
-        mantissas, exponents = np.frexp(values)
-        error = CriticalPointError("the Gauss-Kronecker curvature is out of floating-point range")
-        gauss_kronecker = float(_scaled_back(np.prod(mantissas), int(exponents.sum()), error))
+    weingarten = _scaled_back(w, e, CriticalPointError, _W_OUT_OF_RANGE)
+    message = "the principal curvatures are out of floating-point range"
+    scaled, scale = _eigenvalues(w)
+    values = _scaled_back(scaled, e + scale, CriticalPointError, message)
+    curvatures = cluster_multiplicities(values, cluster_tol)
+    # K = prod(m) 2^sum(ex) from values = m 2^ex: bitwise np.prod(values) where that stays normal
+    m, ex = np.frexp(values)
+    message = "the Gauss-Kronecker curvature is out of floating-point range"
+    gauss_kronecker = float(_scaled_back(np.prod(m), int(ex.sum()), CriticalPointError, message))
     return CurvatureReport(
-        point=frame.point, normal=frame.normal, tangent_basis=basis, weingarten=weingarten,
-        curvatures=cluster_multiplicities(values, cluster_tol), gauss_kronecker=gauss_kronecker,
-        mean=_mean(values), eigenvalues=values,
+        point=frame.point,
+        normal=frame.normal,
+        tangent_basis=basis,
+        weingarten=weingarten,
+        curvatures=curvatures,
+        gauss_kronecker=gauss_kronecker,
+        mean=_mean(values),
+        eigenvalues=values,
     )
 
 

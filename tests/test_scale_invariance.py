@@ -31,11 +31,23 @@ def dense_field(k):
     return ScalarField(arity=6, body=body, name="dense")
 
 
+def spread_field(k):
+    # 2^k (x4 + 2^995 x4^2 + 2^-995 x1^2) in R^4: at the origin H = diag(2^(k-994), 0, 0,
+    # 2^(k+996)) spans 2^1990, wider than the 2^1022 that H scaled to max|H'_ij| in [0.5, 1)
+    # keeps normal; the large entry lies along the normal, so W = diag(-2^-994, 0, 0) up to
+    # order. Both entries are normal for k in [-28, 27].
+    def body(x):
+        return 2.0**k * (x[3] + 2.0**995 * (x[3] * x[3]) + 2.0**-995 * (x[0] * x[0]))
+
+    return ScalarField(arity=4, body=body, name="spread")
+
+
 # f -> 2^k f at level 2^k c scales the gradient, the Hessian and |grad f| by 2^k
 # exactly, so the normal, W and every curvature are bitwise unchanged. |grad f|^2
 # overflows from about k = 510 on and underflows from about k = -500 down; |grad f|
 # itself does neither for k in [-500, 1003]. The frame scales H and |grad f| before
-# it forms W, so a field whose T^t H T overflows still gives the k = 0 report.
+# it forms W, so a field whose T^t H T overflows still gives the k = 0 report, and
+# one whose Hessian entries span 2^1990 keeps its smallest curvature.
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(st.integers(-500, 1000), st.integers(0, 2**32 - 1))
 @hypothesis.example(-500, 0)
@@ -43,6 +55,8 @@ def dense_field(k):
 @hypothesis.example(1000, 0)
 @hypothesis.example(1002, 0)
 @hypothesis.example(1003, 0)
+@hypothesis.example(-28, 0)
+@hypothesis.example(27, 0)
 def test_report_invariant_under_power_of_two_field_scaling(k, seed):
     p = np.random.default_rng(seed).uniform(-2.0, 2.0, size=4)
     level = float(sphere_field(4)(list(p)))
@@ -50,6 +64,8 @@ def test_report_invariant_under_power_of_two_field_scaling(k, seed):
         (sphere_field(4), quadric_field([2.0**k] * 4), level, p),
         (dense_field(0), dense_field(k), 0.0, np.zeros(6)),
     ]
+    if -28 <= k <= 27:
+        cases.append((spread_field(0), spread_field(k), 0.0, np.zeros(4)))
     for field, scaled_field, level, point in cases:
         surface = ImplicitHypersurface(field=field, level=level)
         scaled_surface = ImplicitHypersurface(field=scaled_field, level=2.0**k * level)
@@ -60,6 +76,8 @@ def test_report_invariant_under_power_of_two_field_scaling(k, seed):
         assert scaled.curvatures == base.curvatures
         assert scaled.gauss_kronecker.hex() == base.gauss_kronecker.hex()
         assert scaled.mean.hex() == base.mean.hex()
+        if field.name == "spread":
+            assert -(2.0**-994) in base.eigenvalues
 
 
 # x -> 2^k x maps the sphere |x|^2 = c onto |x|^2 = 4^k c: the gradient scales by 2^k,

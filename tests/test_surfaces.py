@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,7 +100,7 @@ class TestUnitNormal:
         # unchanged, and extreme factors neither overflow nor divide by zero; the frame
         # hands over H as (H 2^-e, e)
         def ratio(d, g, h):
-            return slcurv.surfaces._newton_curvature_ratio(d, g, *_pow2_scaled(h))
+            return slcurv.surfaces._newton_curvature_ratio(d, *math.frexp(g), *_pow2_scaled(h))
 
         d, g, h = 3.1e-6, 0.7, 5.3
         base = ratio(d, g, h)
@@ -345,21 +347,27 @@ class TestCurvatureReport:
             assert abs(report.gauss_kronecker) <= bound and abs(report.mean) <= bound, l
 
     @pytest.mark.parametrize(
-        "decay, gauss_kronecker",
+        "text, gauss_kronecker",
         [
             # kappa = 1e200, 1e200, 1e-100: the partial product 1e200 1e200 overflows, K does not
-            (f" - 0.{'0' * 100}5*x3^2", 1e300),
+            (f"x4 - 5{'0' * 199}*(x1^2 + x2^2) - 0.{'0' * 100}5*x3^2", 1e300),
             # kappa = 1e200, 1e200, 0 on a cylinder: the plain product is inf 0, a NaN
-            ("", 0.0),
+            (f"x4 - 5{'0' * 199}*(x1^2 + x2^2)", 0.0),
+            # kappa = 1e-160, 1e-160, -1e150: the partial product 1e-320 is subnormal, K is not
+            (f"x4 - 0.{'0' * 160}5*(x1^2 + x2^2) + 5{'0' * 149}*x3^2", -1e-170),
         ],
-        ids=["finite-product", "cylinder"],
+        ids=["finite-product", "cylinder", "subnormal-product"],
     )
-    def test_gauss_kronecker_past_an_overflowing_partial_product(self, decay, gauss_kronecker):
-        field = expression_field(f"x4 - 5{'0' * 199}*(x1^2 + x2^2){decay}", 4)
+    def test_gauss_kronecker_past_an_overflowing_partial_product(self, text, gauss_kronecker):
+        field = expression_field(text, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = curvature_report(ImplicitHypersurface(field=field, level=0.0), np.zeros(4))
-        assert report.gauss_kronecker == pytest.approx(gauss_kronecker, rel=1e-15)
+        # K is the product of the reported curvatures to rounding; those differ from the
+        # nominal ones by the parser's rounding of the decimal coefficients (about 2e-14)
+        exact = float(math.prod(Fraction(v) for v in report.eigenvalues))
+        assert report.gauss_kronecker == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert report.gauss_kronecker == pytest.approx(gauss_kronecker, rel=1e-13, abs=0.0)
 
     def test_sphere(self):
         surface = ImplicitHypersurface(field=sphere_field(3), level=4.0)

@@ -237,6 +237,8 @@ def _usage_problem(args) -> str | None:
         return f"--n must be in [2, 8], got {args.n}"
     if getattr(args, "seed", 0) < 0:
         return f"--seed must be >= 0, got {args.seed}"
+    if getattr(args, "seed", 0) > 2**1000:  # the seeds the commands derive need a float value
+        return "--seed must be at most 2^1000"
     if getattr(args, "count", 1) < 1:
         return f"--count must be >= 1, got {args.count}"
     if not 0.0 < getattr(args, "tol", 1.0) < math.inf:

@@ -71,8 +71,10 @@ def _shown(x) -> str:
 
 
 def _as_integer(n, low: int, high: float, what: str) -> int:
-    """int(n) for an int or numpy integer n, not a bool, with low <= n <= high."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not low <= n <= high:
+    """int(n) for an int or numpy integer n, not a bool, with low <= n <= high. An int with
+    no float value (|n| > _FLOAT_MAX) is out of every range, as in _as_real."""
+    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool) and abs(n) <= _FLOAT_MAX
+    if not (integer and low <= n <= high):
         raise ValueError(f"{what} must be an integer in [{low}, {high}], got {_shown(n)}")
     return int(n)
 
@@ -129,27 +131,23 @@ def _fails_per_matrix(fn):
 def _pow2_scaled(a, top: int = 0) -> tuple[np.ndarray, int]:
     """(a * 2^-e, e) with 2^(e + top) the power of two just above max|a_ij|: exact while
     the entries stay normal, and the largest scaled entry lies in [2^(top - 1), 2^top)."""
-    e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1]) - top
+    e = math.frexp(np.abs(a).max(initial=0.0))[1] - top
     return np.ldexp(a, -e), e
 
 
 def _mean(values) -> float:
-    """The mean of a vector, sum / size, finite wherever it is representable: a sum
-    that overflows is summed again on the values scaled by the power of two just
-    above max|v|, and the mean scaled back, as frobenius_norm does. Where the plain
-    sum is finite, the result is bitwise numpy's mean."""
-    with np.errstate(over="ignore"):
-        total = float(values.sum())
-    if math.isfinite(total):
-        return total / values.size
+    """The mean of a vector, sum / size, summed on the values scaled by the power of two
+    just above max|v| and scaled back: the scaled mean is at most max|v 2^-e| < 1, so it
+    cannot overflow. Wherever numpy's partial sums stay normal, it is numpy's mean bitwise."""
     w, e = _pow2_scaled(values)
+    return math.ldexp(float(w.sum()) / values.size, e)
+
+
+def _det(a):
+    # LAPACK's determinant, an inf without a warning where it overflows; a float or a stack's array
     with np.errstate(over="ignore"):
-        return float(np.ldexp(w.sum() / values.size, e))
-
-
-def _value(x):
-    # a float for one matrix, an array for a stack
-    return float(x) if np.ndim(x) == 0 else x
+        d = np.linalg.det(a)
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def determinant(a) -> float | np.ndarray:
@@ -157,7 +155,7 @@ def determinant(a) -> float | np.ndarray:
 
     A float for one matrix, an array of determinants for a stack (..., n, n).
     """
-    return _value(np.linalg.det(_as_finite_square(a, "determinant", stack=True)))
+    return _det(_as_finite_square(a, "determinant", stack=True))
 
 
 @_fails_per_matrix
@@ -173,13 +171,16 @@ def det_inverse(a) -> tuple[float | np.ndarray, np.ndarray]:
         raise SingularMatrixError(f"matrix is singular: {exc}") from None
     if not np.all(np.isfinite(inv)):
         raise SingularMatrixError("matrix inverse is not finite")
-    return _value(np.linalg.det(a)), inv
+    return _det(a), inv
 
 
 def frobenius_norm(a) -> float | np.ndarray:
     """Euclidean norm of a vector's or a matrix's entries. It overflows or underflows only
-    when the norm does: a sum of squares outside [2^-960, 2^960] is summed again on the
-    entries scaled by an exact power of two (J. L. Blue, ACM TOMS 4(1), 1978).
+    when the norm does, and is then an inf or a subnormal without a warning: a sum of
+    squares outside [2^-960, 2^960] is summed again on the entries scaled by an exact
+    power of two (J. L. Blue, ACM TOMS 4(1), 1978). The plain sum is tried first, being
+    cheap: 2.8 us on a 9-vector against 6.5 us for the scaled path alone (Xeon, 2 vCPU,
+    numpy 2.4), and a report takes two norms.
 
     With ndim >= 3, an array of norms, one per trailing matrix: each row of entries is
     squared by matmul, which runs the same BLAS dot as v @ v, and a matrix whose squares
@@ -201,7 +202,8 @@ def frobenius_norm(a) -> float | np.ndarray:
     if 2.0**-960 <= squares <= 2.0**960:
         return float(np.sqrt(squares))
     w, e = _pow2_scaled(v)
-    return float(np.ldexp(np.sqrt(w @ w), e))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sqrt(w @ w), e))
 
 
 def complement_basis(g) -> np.ndarray:

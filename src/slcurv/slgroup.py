@@ -209,13 +209,15 @@ def fundamental_forms(h) -> tuple[float, float]:
     """(first, second) fundamental forms of SL(n) at the identity on trace-zero h.
 
     First form: tr(h^t h), the ambient inner product. Second form:
-    n^{-1/2} tr(h h).
+    n^{-1/2} tr(h h). Both are formed on h' = h 2^-e, max|h'_ij| in [0.5, 1), and scaled
+    back by 4^e; a form out of floating-point range is an OverflowError.
     """
-    h = _require_trace_zero(h)
-    n = h.shape[0]
-    first = float(np.sum(h * h))
-    second = float(np.trace(h @ h)) / np.sqrt(n)
-    return first, second
+    w, e = _pow2_scaled(_require_trace_zero(h))
+    first, second = float(np.sum(w * w)), float(np.trace(w @ w)) / math.sqrt(w.shape[0])
+    try:
+        return math.ldexp(first, 2 * e), math.ldexp(second, 2 * e)
+    except OverflowError:
+        raise OverflowError("a fundamental form is out of floating-point range") from None
 
 
 def random_sl(n: int, seed: int | Sequence[int]) -> np.ndarray:
@@ -225,11 +227,13 @@ def random_sl(n: int, seed: int | Sequence[int]) -> np.ndarray:
     well-conditioned; a negative determinant is fixed by negating row 0.
     A sequence of k seeds gives a (k, n, n) stack whose slice i is
     random_sl(n, seeds[i]): each seed draws from its own generator, and one
-    determinant call per round checks every draw still pending.
+    determinant call per round checks every draw still pending. A seed is a
+    non-negative int or np.integer, not a bool, so no call draws fresh entropy.
     """
     n = _as_integer(n, 2, math.inf, "random_sl n")
-    single = isinstance(seed, (int, np.integer))
-    rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else seed
+    rngs = [np.random.default_rng(_as_integer(s, 0, math.inf, "random_sl seed")) for s in seeds]
     a, d = np.empty((len(rngs), n, n)), np.empty(len(rngs))
     pending = np.arange(len(rngs))
     for _ in range(1000):
@@ -248,9 +252,10 @@ def random_sl(n: int, seed: int | Sequence[int]) -> np.ndarray:
 
 
 def random_special_orthogonal(n: int, seed: int) -> np.ndarray:
-    """Seeded random rotation: QR-orthonormalized Gaussian matrix with det +1."""
+    """Seeded random rotation: QR-orthonormalized Gaussian matrix with det +1. The seed
+    is a non-negative int or np.integer, as for random_sl."""
     n = _as_integer(n, 2, math.inf, "random_special_orthogonal n")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_integer(seed, 0, math.inf, "random_special_orthogonal seed"))
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
     if determinant(q) < 0.0:

@@ -9,7 +9,7 @@ eigenvalues of W, the Gauss-Kronecker curvature their product, the mean
 curvature their average (trace over N-1).
 
 Each public call builds one local frame (_Frame) at its point from one derivative pass:
-the normal g/|g|, and H and |g| each split by an exact power of two. From these come W'
+g and H scaled by powers of two, the normal g'/|g'| and |g| = m 2^eg. From these come W'
 = W 2^-e and L(v); linalg._eigenvalues returns W's eigenvalues with an exponent of their
 own, and W, the curvatures, K, L(v) and the form leave the float range in _scaled_back.
 """
@@ -105,7 +105,8 @@ class _Frame:
     tolerance is still rejected when its distance from the surface, to first
     order, exceeds NEWTON_CURVATURE_RATIO of the radius of curvature bound
     |grad f|/|H|_F, a test whose verdict no change of units (f -> lambda f,
-    x -> r x) alters.
+    x -> r x) alters. m = |g'| from g' = g 2^-e, max|g'_i| in [0.5, 1), cannot underflow
+    or overflow where |g| would.
     """
 
     def __init__(self, s: ImplicitHypersurface, p):
@@ -117,18 +118,18 @@ class _Frame:
             )
         with np.errstate(over="ignore", invalid="ignore"):
             g, hess = _jet(s.field, p)
-            gnorm = frobenius_norm(g)
-        if not (math.isfinite(gnorm) and np.all(np.isfinite(hess))):
-            raise CriticalPointError(
-                f"gradient or Hessian is not finite (gradient magnitude {gnorm:.3e})"
-            )
-        if gnorm == 0.0:
+            g_scaled, e = _pow2_scaled(g)
+            m = frobenius_norm(g_scaled)
+        if not (math.isfinite(m) and np.all(np.isfinite(hess))):
+            raise CriticalPointError("gradient or Hessian is not finite")
+        if m == 0.0:
             raise CriticalPointError("gradient is zero")
         # max|H'_ij| lies just below 2^t, t = 1020 - 3 bits(N): no product the frame forms
         # exceeds 4 N^2.5 2^t < 2^1023, and entries down to 2^-(t + 1022) of it stay normal
         t = 1020 - 3 * p.size.bit_length()
         self.hess_scaled, self.eh = _pow2_scaled(hess, t)
-        self.gm, self.eg = math.frexp(gnorm)
+        self.gm, self.eg = math.frexp(m)
+        self.eg += e
         # |H'|_F^2 overflows and sends frobenius_norm down its slow path, so the ratio
         # reads H' 2^-t, whose largest entry lies in [0.5, 1)
         hess_unit = np.ldexp(self.hess_scaled, -t)
@@ -138,9 +139,7 @@ class _Frame:
                 "point is off-surface: distance |f - c|/|grad f| over the curvature radius "
                 f"bound |grad f|/|H|_F is {ratio:.3e} (limit {NEWTON_CURVATURE_RATIO:g})"
             )
-        self.point, self.normal = p, g / gnorm
-        if gnorm < 2.0**-1022:  # a subnormal |g| lost bits: normalise the exact 2^600 g instead
-            self.normal = np.ldexp(g, 600) / frobenius_norm(np.ldexp(g, 600))
+        self.point, self.normal = p, g_scaled / m
 
     def shape_operator(self) -> tuple[np.ndarray, int, np.ndarray]:
         """(W', e, T): W = W' 2^e = -(T^t H T)/|g| in the Householder complement basis T of

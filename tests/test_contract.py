@@ -1,5 +1,6 @@
 """The argument contract of the exports: on an edge-case matrix, size, point or vector, each one
-raises a ValueError subclass or returns finite values, with no warning."""
+raises a ValueError subclass, or an OverflowError for a result out of range, or returns its
+values, with no warning."""
 
 import dataclasses
 import re
@@ -63,12 +64,14 @@ def _leaves(out):
 
 
 def _check(call, expect, label):
-    # expect is R, F, a pattern that the ValueError's message must match, or the value
-    # the call is meant to return
+    # expect is the exception type the call raises (R for a ValueError subclass), F, a
+    # pattern that the ValueError's message must match, or the value the call is meant
+    # to return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if expect is R or isinstance(expect, re.Pattern):
-            with pytest.raises(ValueError, match=None if expect is R else expect):
+        if isinstance(expect, (type, re.Pattern)):
+            pattern = expect if isinstance(expect, re.Pattern) else None
+            with pytest.raises(ValueError if pattern else expect, match=pattern):
                 call()
             return
         got = _leaves(call())
@@ -99,6 +102,8 @@ PARABOLIC = ImplicitHypersurface(expression_field("x1^2 + x3", 3), 1.0)
 INF_POINT, NAN_POINT = [1.0, INF, 0.0], [1.0, NAN, 0.0]
 # an int with no float value, and one too long for Python to print (over 4300 digits)
 HUGE, GIANT = 10**400, 10**5000
+SL_SEED, SO_SEED = re.compile("random_sl seed"), re.compile("random_special_orthogonal seed")
+BIG_EYE = np.eye(3) * 1e200  # det = 1e600 overflows
 
 # one row per call of an export on scalar or vector arguments: (label, export,
 # arguments, outcome); an export given by name is looked up in slcurv
@@ -147,6 +152,30 @@ CALLS = [
     ("random-sl-int64", "random_sl", (np.int64(3), 0), F),
     ("random-so-2.5", "random_special_orthogonal", (2.5, 0), R),
     ("random-so-int64", "random_special_orthogonal", (np.int64(3), 0), F),
+    # a seed is a non-negative int or np.integer, not a bool: None would draw fresh entropy
+    ("random-sl-seed-None", "random_sl", (3, None), SL_SEED),
+    ("random-sl-seed-list-None", "random_sl", (3, [None]), SL_SEED),
+    ("random-sl-seed-1.5", "random_sl", (3, 1.5), SL_SEED),
+    ("random-sl-seed-str", "random_sl", (3, "ab"), SL_SEED),
+    ("random-sl-seed-True", "random_sl", (3, True), SL_SEED),
+    ("random-sl-seed-int64", "random_sl", (3, [np.int64(5)]), F),
+    ("random-so-seed-None", "random_special_orthogonal", (3, None), SO_SEED),
+    ("random-so-seed-True", "random_special_orthogonal", (3, True), SO_SEED),
+    # a size is an int with a float value, as a real is
+    ("identity-huge", "principal_curvatures_identity", (HUGE,), R),
+    ("summary-huge", "curvature_summary", (HUGE,), re.compile(r"curvature_summary n .* 1329 bits")),
+    ("sphere-field-huge", "sphere_field", (HUGE,), R),
+    # a value past the float maximum is an inf, with no warning
+    ("norm-overflow-vector", "frobenius_norm", ([1.7e308, 1.7e308],), INF),
+    ("norm-overflow-matrix", "frobenius_norm", (np.full((2, 2), 1.7e308),), INF),
+    ("norm-overflow-stack", "frobenius_norm", (np.full((2, 1, 2), 1.7e308),), np.array([INF, INF])),
+    ("determinant-overflow", "determinant", (BIG_EYE,), INF),
+    ("det-inverse-overflow", lambda a: slcurv.det_inverse(a)[0], (BIG_EYE,), INF),
+    ("gauss-map-overflow", "gauss_map", (BIG_EYE,), R),
+    ("curvatures-at-overflow", "curvatures_at", (BIG_EYE,), R),
+    # a fundamental form out of range is an OverflowError, as the second fundamental form is
+    ("forms-overflow", "fundamental_forms", (np.diag([1e200, -1e200]),), OverflowError),
+    ("forms-large", "fundamental_forms", (np.diag([1e150, -1e150]),), F),
     ("determinant-field-2.5", "determinant_field", (2.5,), R),
     ("determinant-field-True", "determinant_field", (True,), R),
     ("determinant-field-int64", lambda n: determinant_field(n).arity, (np.int64(3),), 9.0),

@@ -42,14 +42,28 @@ def spread_field(k):
     return ScalarField(arity=4, body=body, name="spread")
 
 
+def parabola_field(k):
+    # 2^k (x1 + x2 + x1^2) in R^2: at the origin g = 2^k (1, 1) and H = 2^k diag(2, 0) are
+    # exact for every k in [-1074, 1022], and kappa = -2^-0.5. |g| = 2^(k + 0.5) is
+    # subnormal for k <= -1023, where a norm rounded as a subnormal loses bits
+    def body(x):
+        return 2.0**k * (x[0] + x[1] + x[0] * x[0])
+
+    return ScalarField(arity=2, body=body, name="parabola")
+
+
 # f -> 2^k f at level 2^k c scales the gradient, the Hessian and |grad f| by 2^k
 # exactly, so the normal, W and every curvature are bitwise unchanged. |grad f|^2
-# overflows from about k = 510 on and underflows from about k = -500 down; |grad f|
-# itself does neither for k in [-500, 1003]. The frame scales H and |grad f| before
-# it forms W, so a field whose T^t H T overflows still gives the k = 0 report, and
-# one whose Hessian entries span 2^1990 keeps its smallest curvature.
-@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@hypothesis.given(st.integers(-500, 1000), st.integers(0, 2**32 - 1))
+# overflows from about k = 510 on and underflows from about k = -500 down; on the sphere
+# and the dense field, |grad f| itself does neither for k in [-500, 1003]. The frame scales
+# H and g before it forms |g| and W, so a field whose T^t H T overflows still gives the
+# k = 0 report, one whose Hessian entries span 2^1990 keeps its smallest curvature, and a
+# parabola whose |g| is subnormal keeps its curvature.
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.integers(-1074, 1022), st.integers(0, 2**32 - 1))
+@hypothesis.example(-1074, 0)
+@hypothesis.example(-1063, 0)
+@hypothesis.example(-1023, 0)
 @hypothesis.example(-500, 0)
 @hypothesis.example(510, 0)
 @hypothesis.example(1000, 0)
@@ -60,10 +74,10 @@ def spread_field(k):
 def test_report_invariant_under_power_of_two_field_scaling(k, seed):
     p = np.random.default_rng(seed).uniform(-2.0, 2.0, size=4)
     level = float(sphere_field(4)(list(p)))
-    cases = [
-        (sphere_field(4), quadric_field([2.0**k] * 4), level, p),
-        (dense_field(0), dense_field(k), 0.0, np.zeros(6)),
-    ]
+    cases = [(parabola_field(0), parabola_field(k), 0.0, np.zeros(2))]
+    if -500 <= k <= 1003:
+        cases.append((sphere_field(4), quadric_field([2.0**k] * 4), level, p))
+        cases.append((dense_field(0), dense_field(k), 0.0, np.zeros(6)))
     if -28 <= k <= 27:
         cases.append((spread_field(0), spread_field(k), 0.0, np.zeros(4)))
     for field, scaled_field, level, point in cases:

@@ -369,6 +369,17 @@ class TestCurvatureReport:
         assert report.gauss_kronecker == pytest.approx(exact, rel=1e-15, abs=0.0)
         assert report.gauss_kronecker == pytest.approx(gauss_kronecker, rel=1e-13, abs=0.0)
 
+    def test_gradient_norm_past_the_float_maximum(self):
+        # g = 1.7e308 (1, 1) and H = diag(2e20, 0) are finite, |g| = 2.4e308 is not; with
+        # t = (1, -1)/sqrt(2), W = -(t^t H t)/|g| = -1e20/|g| = -4.159451654039e-289
+        field = expression_field(f"17{'0' * 307}*(x1+x2) + 1{'0' * 20}*x1^2", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = curvature_report(ImplicitHypersurface(field=field, level=0.0), np.zeros(2))
+        kappa = -1e20 / 1.7e308 / math.sqrt(2.0)
+        assert report.curvatures == [(pytest.approx(kappa, rel=1e-14, abs=0.0), 1)]
+        assert report.gauss_kronecker == pytest.approx(kappa, rel=1e-14, abs=0.0)
+
     def test_sphere(self):
         surface = ImplicitHypersurface(field=sphere_field(3), level=4.0)
         report = curvature_report(surface, [2.0, 0.0, 0.0])

@@ -414,8 +414,8 @@ class TestSampleImage:
     @pytest.mark.parametrize(
         "argv",
         [["--n", "3", "--count", "5", "--seed", "-5"], ["--n", "9", "--count", "1"],
-         ["--n", "10000000000", "--count", "1"]],
-        ids=["negative-seed", "n9", "huge-n"],
+         ["--n", "10000000000", "--count", "1"], ["--n", "3", "--count", "1", "--seed", str(2**1000 + 1)]],
+        ids=["negative-seed", "n9", "huge-n", "seed-above-2^1000"],
     )
     def test_out_of_range_is_one_line(self, capsys, argv):
         assert main(["sample-image", *argv]) == 2

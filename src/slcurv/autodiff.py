@@ -142,7 +142,11 @@ def ipow(x, k: int):
     value slot of a hyper-dual evaluation matches plain-float evaluation
     bitwise.
     """
-    k = _as_integer(k, 0, np.inf, "exponent")
+    return _ipow(x, _as_integer(k, 0, np.inf, "exponent"))
+
+
+def _ipow(x, k: int):
+    # ipow for an int k >= 0 already gated, such as a parsed exponent
     if k == 0:
         return 1.0
     out = x

@@ -16,12 +16,12 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from itertools import combinations, cycle
+from itertools import combinations, cycle, islice
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .autodiff import ipow
+from .autodiff import _ipow
 from .linalg import _FLOAT_MAX, _as_integer, _as_real
 
 # Row-major flattening, fixed repo-wide: entry (i, j) of an n x n matrix
@@ -186,18 +186,21 @@ def sphere_field(dim: int) -> ScalarField:
 #   factor := '-' factor | atom ('^' digits)?
 #   atom   := number | 'x' digits | '(' expr ')'
 #
-# The parser reads one _TOKEN at a time: whitespace (str.isspace), then an
-# ASCII number, a name (a run of str.isalnum characters), one other
-# character, or the end of the text. Offsets are character indices.
+# One findall of _TOKEN lexes the whole text. Each token, after any whitespace
+# (str.isspace), is an ASCII number, a name (a run of str.isalnum characters),
+# one other character, or "" at the end of the text; its first character tells
+# which. Offsets are character indices.
 #
-# The parser, evaluator and unparser recurse, and ipow multiplies
+# The parser, evaluator and unparser recurse, and _ipow multiplies
 # exponent - 1 times, so parsing bounds both: at most _MAX_DEPTH nested
 # parentheses and unary minuses, a tree at most _MAX_DEPTH operators high,
 # and exponents at most _MAX_EXPONENT. Digits are ASCII.
 
 _MAX_DEPTH = 128
 _MAX_EXPONENT = 100
-_TOKEN = re.compile(r"\s*(?:(?P<number>[0-9]+\.?[0-9]*|\.[0-9]*)|(?P<name>[^\W_]+)|(?P<char>\S|\Z))")
+_TOKEN = re.compile(r"\s*([0-9]+\.?[0-9]*|\.[0-9]*|[^\W_]+|\S|\Z)")
+_NUMBER_START = frozenset("0123456789.")
+_TOO_HIGH = f"expression tree higher than {_MAX_DEPTH} operators"
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,7 @@ def _eval_node(node: Node, args: Sequence):
     if kind is Const:
         return node.value
     if kind is Pow:
-        return ipow(_eval_node(node.base, args), node.exponent)
+        return _ipow(_eval_node(node.base, args), node.exponent)
     return -_eval_node(node.operand, args)
 
 
@@ -295,118 +298,95 @@ def _bounded_int(digits: str, limit: int) -> int:
 
 
 class _Parser:
+    """Recursive descent over the token list. Each method takes the index of its first
+    token and returns (node, height of the node's tree, index of the token after it)."""
+
     def __init__(self, text: str, arity: int):
         self.text = text
         self.arity = arity
-        self.depth = 0  # open parentheses and unary minuses around the lookahead
-        self._advance(0)
+        self.tokens = _TOKEN.findall(text)  # its last token is "", the end of the text
+        self.depth = 0  # open parentheses and unary minuses around the current token
 
-    def _advance(self, pos: int):
-        # lex the token after pos into the lookahead: its offset, text and kind
-        m = _TOKEN.match(self.text, pos)
-        self.kind = m.lastgroup
-        self.at = m.start(self.kind)
-        self.token = m[self.kind]
-
-    def _take(self) -> str:
-        token = self.token
-        self._advance(self.at + len(token))
-        return token
-
-    def _enter(self, at: int):
-        # called before the parser recurses into '(' or unary minus
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels", at)
-
-    def _height(self, at: int, *children: int) -> int:
-        height = 1 + max(children)
-        if height > _MAX_DEPTH:
-            raise ParseError(f"expression tree higher than {_MAX_DEPTH} operators", at)
-        return height
-
-    # each method below returns (node, height of the node's tree)
+    def error(self, message: str, i: int) -> ParseError:
+        # re-lex up to token i for its offset; an exponent leaves the rest of its number
+        # token at that token's index, so token i ends where the lexed one does
+        m = next(islice(_TOKEN.finditer(self.text), i, None))
+        return ParseError(message, m.end(1) - len(self.tokens[i]))
 
     def parse(self) -> ExpressionTree:
-        root, _ = self._expr()
-        if self.token:
-            raise ParseError(f"unexpected character {self.token[0]!r}", self.at)
+        root, _, i = self.expr(0)
+        if self.tokens[i]:
+            raise self.error(f"unexpected character {self.tokens[i][0]!r}", i)
         return ExpressionTree(root=root, arity=self.arity)
 
-    def _expr(self) -> tuple[Node, int]:
-        node, height = self._term()
-        while self.token in ("+", "-"):
-            at, op = self.at, self._take()
-            right, right_height = self._term()
-            node, height = BinOp(op=op, left=node, right=right), self._height(at, height, right_height)
-        return node, height
+    def expr(self, i: int) -> tuple[Node, int, int]:
+        tokens, term = self.tokens, self.term
+        node, height, i = term(i)
+        while (op := tokens[i]) == "+" or op == "-":
+            right, right_height, j = term(i + 1)
+            if (height := 1 + max(height, right_height)) > _MAX_DEPTH:
+                raise self.error(_TOO_HIGH, i)
+            node, i = BinOp(op, node, right), j
+        return node, height, i
 
-    def _term(self) -> tuple[Node, int]:
-        node, height = self._factor()
-        while self.token in ("*", "/"):
-            at, op = self.at, self._take()
-            right, right_height = self._factor()
-            node, height = BinOp(op=op, left=node, right=right), self._height(at, height, right_height)
-        return node, height
+    def term(self, i: int) -> tuple[Node, int, int]:
+        tokens, factor = self.tokens, self.factor
+        node, height, i = factor(i)
+        while (op := tokens[i]) == "*" or op == "/":
+            right, right_height, j = factor(i + 1)
+            if (height := 1 + max(height, right_height)) > _MAX_DEPTH:
+                raise self.error(_TOO_HIGH, i)
+            node, i = BinOp(op, node, right), j
+        return node, height, i
 
-    def _factor(self) -> tuple[Node, int]:
-        if self.token == "-":
-            at = self.at
-            self._enter(at)
-            self._take()
-            operand, height = self._factor()
+    def factor(self, i: int) -> tuple[Node, int, int]:
+        tokens = self.tokens
+        token = tokens[i]
+        if token == "-" or token == "(":
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise self.error(f"nesting deeper than {_MAX_DEPTH} levels", i)
+        if token == "-":
+            operand, height, j = self.factor(i + 1)
             self.depth -= 1
-            return Neg(operand=operand), self._height(at, height)
-        node, height = self._atom()
-        if self.token == "^":
-            at = self.at
-            self._take()
-            node, height = Pow(base=node, exponent=self._exponent()), self._height(at, height)
-        return node, height
-
-    def _exponent(self) -> int:
-        at = self.at
-        if self.token == "-":
-            raise ParseError("negative exponents are not allowed", at)
-        # only the leading digits: x1^2.5 is x1^2 followed by '.5'
-        digits = self.token.partition(".")[0] if self.kind == "number" else ""
-        if not digits:
-            raise ParseError("exponent must be a non-negative integer literal", at)
-        exponent = _bounded_int(digits, _MAX_EXPONENT)
-        if exponent > _MAX_EXPONENT:
-            raise ParseError(f"exponent exceeds {_MAX_EXPONENT}", at)
-        self._advance(at + len(digits))
-        return exponent
-
-    def _atom(self) -> tuple[Node, int]:
-        at, token = self.at, self.token
+            if height >= _MAX_DEPTH:
+                raise self.error(_TOO_HIGH, i)
+            return Neg(operand), height + 1, j
         if token == "(":
-            self._enter(at)
-            self._take()
-            node, height = self._expr()
-            if self.token != ")":
-                raise ParseError("expected ')'", self.at)
-            self._take()
+            node, height, i = self.expr(i + 1)
+            if tokens[i] != ")":
+                raise self.error("expected ')'", i)
             self.depth -= 1
-            return node, height
-        if self.kind == "number":
+        elif token[:1] in _NUMBER_START:
             if token == ".":
-                raise ParseError("malformed number literal", at)
-            value = float(token)
-            if value == np.inf:
-                raise ParseError("number literal out of floating-point range", at)
-            self._take()
-            return Const(value=value), 0
-        if self.kind != "name" or not token[0].isalpha():
-            raise ParseError("expected a number, variable, or '('", at)
-        digits = token[1:]
-        if not (token[0] == "x" and digits.isascii() and digits.isdigit()):
-            raise ParseError(f"unknown identifier {token!r}", at)
-        index = _bounded_int(digits, self.arity)
-        if not 1 <= index <= self.arity:
-            raise ParseError(f"variable {token} exceeds arity {self.arity}", at)
-        self._take()
-        return Var(index=index - 1), 0
+                raise self.error("malformed number literal", i)
+            node, height = Const(float(token)), 0
+            if node.value == np.inf:
+                raise self.error("number literal out of floating-point range", i)
+        elif not token[:1].isalpha():
+            raise self.error("expected a number, variable, or '('", i)
+        elif not (token[0] == "x" and token[1:].isascii() and token[1:].isdigit()):
+            raise self.error(f"unknown identifier {token!r}", i)
+        elif not 1 <= (index := _bounded_int(token[1:], self.arity)) <= self.arity:
+            raise self.error(f"variable {token} exceeds arity {self.arity}", i)
+        else:
+            node, height = Var(index - 1), 0
+        i += 1
+        if tokens[i] != "^":
+            return node, height, i
+        token = tokens[i + 1]
+        if token == "-":
+            raise self.error("negative exponents are not allowed", i + 1)
+        # only the leading digits: x1^2.5 is x1^2 followed by the token '.5'
+        digits = token.partition(".")[0] if token[:1] in _NUMBER_START else ""
+        if not digits:
+            raise self.error("exponent must be a non-negative integer literal", i + 1)
+        if (exponent := _bounded_int(digits, _MAX_EXPONENT)) > _MAX_EXPONENT:
+            raise self.error(f"exponent exceeds {_MAX_EXPONENT}", i + 1)
+        if height >= _MAX_DEPTH:
+            raise self.error(_TOO_HIGH, i)
+        tokens[i + 1] = token[len(digits) :]
+        return Pow(node, exponent), height + 1, i + 1 if tokens[i + 1] else i + 2
 
 
 def parse_expression(text: str, arity: int) -> ExpressionTree:

@@ -258,6 +258,23 @@ def test_jet_bitwise_equal_to_hyperdual_pass():
                     assert np.where(nan, 0.0, x).tobytes() == np.where(nan, 0.0, y).tobytes()
 
 
+
+@pytest.mark.parametrize(
+    "text, grad",
+    [("-x1", [-1.0, 0.0]), ("x1 - 1", [1.0, 0.0]), ("1 - x1", [-1.0, 0.0]), ("-(x1*x2) - 2", [1.5, -0.75])],
+)
+def test_scalar_subtraction_and_negation_bitwise(text, grad):
+    # negation, and subtraction of and from a float, which no other test runs through
+    # both the _Jet ring and the HyperDual pass; squared, the value and d2 slots reach
+    # the jet too
+    for body in (text, f"({text})^2"):
+        field = expression_field(body, 2)
+        for p in ([0.75, -1.5], [0.0, -0.0], [-0.0, 1e100]):
+            got, want = _jet(field, np.array(p)), hyperdual_jet(field, p)
+            for x, y in zip(got, want):
+                assert x.tobytes() == y.tobytes()
+    assert _jet(expression_field(text, 2), np.array([0.75, -1.5]))[0].tolist() == grad
+
 def test_jet_runs_the_recipe_on_the_body():
     # _jet takes a body's _jet_recipe in place of the ring and fills the lower triangle
     def body(a):

@@ -117,6 +117,11 @@ class TestAnalyze:
         assert values[0][0] == pytest.approx(0.70710678, abs=1e-8)
         assert values[1][0] == pytest.approx(-0.70710678, abs=1e-8)
 
+    def test_text_report_normal_line(self, capsys):
+        # the normal prints to 10 significant digits
+        assert main(["analyze", "--expr", "x1^2 + x2^2", "--level", "2", "--point", "1,1"]) == 0
+        assert "normal           [0.7071067812 0.7071067812]" in capsys.readouterr().out.splitlines()
+
     def test_off_surface_point(self, capsys):
         code = main(["analyze", "--expr", "x1^2+x2^2+x3^2", "--level", "4", "--point", "1,1,1"])
         assert code == 1

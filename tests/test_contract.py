@@ -234,6 +234,9 @@ CALLS = [
     ("jacobi-tol-giant", "jacobi_eigh", ([[1.0]], GIANT), re.compile(r"jacobi_eigh tol .* 16610 bits")),
     ("summary-giant", "curvature_summary", (-GIANT,), re.compile(r"curvature_summary n .* 16610 bits")),
     ("cluster-tol-giant", "cluster_multiplicities", ([1.0], GIANT), re.compile(r"cluster_tol .* 16610 bits")),
+    # an int with no float value is shown by its sign and bit length
+    ("summary-2^1100", "curvature_summary", (2**1100,), re.compile(r"\], got an int of 1101 bits$")),
+    ("summary-minus-2^1100", "curvature_summary", (-(2**1100),), re.compile(r"\], got a negative int of 1101 bits$")),
     ("report-cluster-tol-str", "curvature_report", (SURFACE, E1, "x"), R),
     ("report-cluster-tol-None", "curvature_report", (SURFACE, E1, None), R),
     ("report-cluster-tol-True", "curvature_report", (SURFACE, E1, True), R),

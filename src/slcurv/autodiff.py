@@ -142,11 +142,7 @@ def ipow(x, k: int):
     value slot of a hyper-dual evaluation matches plain-float evaluation
     bitwise.
     """
-    return _ipow(x, _as_integer(k, 0, np.inf, "exponent"))
-
-
-def _ipow(x, k: int):
-    # ipow for an int k >= 0 already gated, such as a parsed exponent
+    k = _as_integer(k, 0, np.inf, "exponent")
     if k == 0:
         return 1.0
     out = x

@@ -21,7 +21,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .autodiff import _ipow
+from .autodiff import ipow
 from .linalg import _FLOAT_MAX, _as_integer, _as_real
 
 # Row-major flattening, fixed repo-wide: entry (i, j) of an n x n matrix
@@ -191,7 +191,7 @@ def sphere_field(dim: int) -> ScalarField:
 # one other character, or "" at the end of the text; its first character tells
 # which. Offsets are character indices.
 #
-# The parser, evaluator and unparser recurse, and _ipow multiplies
+# The parser, evaluator and unparser recurse, and ipow multiplies
 # exponent - 1 times, so parsing bounds both: at most _MAX_DEPTH nested
 # parentheses and unary minuses, a tree at most _MAX_DEPTH operators high,
 # and exponents at most _MAX_EXPONENT. Digits are ASCII.
@@ -264,7 +264,7 @@ def _eval_node(node: Node, args: Sequence):
     if kind is Const:
         return node.value
     if kind is Pow:
-        return _ipow(_eval_node(node.base, args), node.exponent)
+        return ipow(_eval_node(node.base, args), node.exponent)
     return -_eval_node(node.operand, args)
 
 

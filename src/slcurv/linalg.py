@@ -4,13 +4,13 @@ Everything here targets desk scale (dimension a few dozen): determinant and
 inverse from LAPACK's LU with partial pivoting (numpy's det and inv), the one
 Euclidean norm (frobenius_norm, for vectors and matrices, overflowing only where
 the norm does), a Householder complement basis that depends on g/|g| only and
-rejects only a zero or non-finite g, and two symmetric eigensolvers. The curvature
-pipeline takes its eigenvalues from LAPACK (numpy's eigvalsh, no vectors) through
-_eigenvalues, as (values 2^-e, e) from W' = W 2^-e with max|W'_ij| in [0.5, 1), and
-the caller scales them back. jacobi_eigh, a gated parallel-order (round-robin) Jacobi
-solver with vectors, is the oracle the tests hold it to. An exactly zero pivot is the only
-singularity: determinant returns 0.0, det_inverse raises SingularMatrixError, as it
-does for a non-finite inverse. A non-finite matrix is a ValueError.
+rejects only a zero or non-finite g, and _scaled_back, the one way a result formed on
+values scaled by a power of two goes back to its own scale, or fails with the caller's
+error. The curvature pipeline takes its eigenvalues from LAPACK (numpy's eigvalsh, no
+vectors); jacobi_eigh, a gated parallel-order (round-robin) Jacobi solver with vectors,
+is the oracle the tests hold it to. An exactly zero pivot is the only singularity:
+determinant returns 0.0, det_inverse raises SingularMatrixError, as it does for a
+non-finite inverse. A non-finite matrix is a ValueError.
 
 determinant, det_inverse and frobenius_norm also take a stack of matrices, shape
 (..., n, n) with ndim >= 3, and then return one value per matrix; each equals the
@@ -20,7 +20,9 @@ complement_basis and jacobi_eigh take one vector or one matrix only.
 
 Each kind of argument from outside the program has one gate, here, applied once where
 it enters: _as_integer for a size, _as_real for a real scalar, _as_point for a finite
-point of a given length, _as_square for a matrix. What the pipeline makes passes none.
+point of a given length, _as_square for a matrix. What the pipeline makes passes none:
+the report clusters its own eigenvalues through _clusters, the ungated core of
+cluster_multiplicities.
 """
 
 from __future__ import annotations
@@ -143,6 +145,15 @@ def _mean(values) -> float:
     return math.ldexp(float(w.sum()) / values.size, e)
 
 
+def _scaled_back(x, e: int, error: type[Exception], message: str):
+    """x 2^e, or error(message) where that is out of range, not an inf: with max|x| = m 2^k,
+    m in [0.5, 1), x 2^e overflows iff k + e > 1024, and a zero never overflows."""
+    top = np.abs(x).max(initial=0.0)
+    if top != 0.0 and math.frexp(top)[1] + e > 1024:
+        raise error(message)
+    return np.ldexp(x, e)
+
+
 def _det(a):
     # LAPACK's determinant, an inf without a warning where it overflows; a float or a stack's array
     with np.errstate(over="ignore"):
@@ -243,16 +254,6 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(a, b)[:, n % 2 :], np.maximum(a, b)[:, n % 2 :]
 
 
-def _eigenvalues(w) -> tuple[np.ndarray, int]:
-    """(values 2^-e, e): the eigenvalues of the frame's W, descending, from eigvalsh on
-    1/2 (W' + W'^t), W' = W 2^-e with max|W'_ij| in [0.5, 1); nothing is checked. LAPACK
-    rescales a tiny or huge matrix by factors that are not powers of two (seen for
-    max|W_ij| from about 2^-404 down), so it reads the exact W' and 2^k W gives 2^k
-    times the values bitwise."""
-    w, e = _pow2_scaled(w)
-    return np.linalg.eigvalsh(0.5 * (w + w.T))[::-1], e
-
-
 def jacobi_eigh(a, tol: float = 1e-12) -> EigenSpectrum:
     """Parallel-order (round-robin) Jacobi eigendecomposition of a symmetric matrix.
 
@@ -305,9 +306,14 @@ def cluster_multiplicities(values, cluster_tol: float = 1e-6) -> list[tuple[floa
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("cluster_multiplicities expects a vector of values")
-    v = values.tolist()
-    if np.any(np.isnan(values)) or any(b > a for a, b in zip(v, v[1:])):
+    if np.any(np.isnan(values)) or np.any(values[1:] > values[:-1]):
         raise ValueError("values must be sorted in descending order, with no NaN")
+    return _clusters(values, cluster_tol)
+
+
+def _clusters(values: np.ndarray, cluster_tol: float) -> list[tuple[float, int]]:
+    # cluster_multiplicities on a descending float vector with no NaN, cluster_tol gated
+    v = values.tolist()
     clusters: list[tuple[float, int]] = []
     start = 0
     for i in range(1, len(v) + 1):

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import _as_integer, _as_square, _fails_per_matrix, _pow2_scaled
+from .linalg import _as_integer, _as_square, _fails_per_matrix, _pow2_scaled, _scaled_back
 from .linalg import complement_basis, det_inverse, determinant, frobenius_norm
 
 UNIMODULAR_TOL = 1e-9
@@ -210,14 +210,12 @@ def fundamental_forms(h) -> tuple[float, float]:
 
     First form: tr(h^t h), the ambient inner product. Second form:
     n^{-1/2} tr(h h). Both are formed on h' = h 2^-e, max|h'_ij| in [0.5, 1), and scaled
-    back by 4^e; a form out of floating-point range is an OverflowError.
+    back by 4^e in linalg._scaled_back; a form out of floating-point range is an OverflowError.
     """
     w, e = _pow2_scaled(_require_trace_zero(h))
-    first, second = float(np.sum(w * w)), float(np.trace(w @ w)) / math.sqrt(w.shape[0])
-    try:
-        return math.ldexp(first, 2 * e), math.ldexp(second, 2 * e)
-    except OverflowError:
-        raise OverflowError("a fundamental form is out of floating-point range") from None
+    forms = [float(np.sum(w * w)), float(np.trace(w @ w)) / math.sqrt(w.shape[0])]
+    message = "a fundamental form is out of floating-point range"
+    return tuple(_scaled_back(np.array(forms), 2 * e, OverflowError, message).tolist())
 
 
 def random_sl(n: int, seed: int | Sequence[int]) -> np.ndarray:

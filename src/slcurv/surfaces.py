@@ -10,8 +10,9 @@ curvature their average (trace over N-1).
 
 Each public call builds one local frame (_Frame) at its point from one derivative pass:
 g and H scaled by powers of two, the normal g'/|g'| and |g| = m 2^eg. From these come W'
-= W 2^-e and L(v); linalg._eigenvalues returns W's eigenvalues with an exponent of their
-own, and W, the curvatures, K, L(v) and the form leave the float range in _scaled_back.
+= W 2^-e and L(v). curvature_report takes W's eigenvalues from W' scaled to unit, and W,
+the curvatures, K, L(v) and the form each go back to their own scale, or fail where they
+leave the float range, in linalg._scaled_back. The report gates cluster_tol on entry.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from .autodiff import _jet
 from .fields import ScalarField
-from .linalg import _FLOAT_MAX, _as_point, _as_real, _eigenvalues, _householder_complement, _mean
-from .linalg import _pow2_scaled, cluster_multiplicities, frobenius_norm
+from .linalg import _FLOAT_MAX, _as_point, _as_real, _clusters, _householder_complement, _mean
+from .linalg import _pow2_scaled, _scaled_back, frobenius_norm
 
 TANGENCY_TOL = 1e-8
 # largest accepted (|f - c|/|grad f|) (|H|_F/|grad f|): the point's Newton distance
@@ -180,15 +181,6 @@ def _newton_curvature_ratio(dist: float, mg: float, eg: int, hess_scaled: np.nda
     return math.ldexp(md * mh / (mg * mg), min(ed + eh + e - 2 * eg, 64))
 
 
-def _scaled_back(x, e: int, error: type[Exception], message: str):
-    """x 2^e; error(message) where that is out of range, not an inf or a NaN."""
-    with np.errstate(over="ignore"):
-        out = np.ldexp(x, e)
-    if not np.isfinite(out).all():
-        raise error(message)
-    return out
-
-
 def unit_normal(s: ImplicitHypersurface, p) -> np.ndarray:
     """Oriented unit normal grad(f)/|grad(f)| at an on-surface point."""
     return _Frame(s, p).normal
@@ -227,13 +219,19 @@ def second_fundamental_form(s: ImplicitHypersurface, p, v, w) -> float:
 
 def curvature_report(s: ImplicitHypersurface, p, cluster_tol: float = 1e-6) -> CurvatureReport:
     """Normal, tangent basis, shape operator, and all curvatures at p."""
+    _as_real(cluster_tol, 0.0, math.inf, "cluster_tol")
     frame = _Frame(s, p)
     w, e, basis = frame.shape_operator()
     weingarten = _scaled_back(w, e, CriticalPointError, _W_OUT_OF_RANGE)
+    # eigvalsh reads a copy of W' scaled so that max|W'_ij| lies in [0.5, 1), and 2^k W gives
+    # 2^k times the values bitwise: LAPACK rescales a tiny or huge matrix by factors that are
+    # not powers of two (seen for max|W_ij| from about 2^-404 down). W itself comes from the
+    # frame's W', where entries far below the largest stay normal
+    unit, scale = _pow2_scaled(w)
     message = "the principal curvatures are out of floating-point range"
-    scaled, scale = _eigenvalues(w)
-    values = _scaled_back(scaled, e + scale, CriticalPointError, message)
-    curvatures = cluster_multiplicities(values, cluster_tol)
+    values = np.linalg.eigvalsh(0.5 * (unit + unit.T))[::-1]
+    values = _scaled_back(values, e + scale, CriticalPointError, message)
+    curvatures = _clusters(values, cluster_tol)
     # K = prod(m) 2^sum(ex) from values = m 2^ex: bitwise np.prod(values) where that stays normal
     m, ex = np.frexp(values)
     message = "the Gauss-Kronecker curvature is out of floating-point range"

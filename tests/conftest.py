@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 from slcurv.autodiff import HyperDual
+from slcurv.fields import determinant_field
+from slcurv.surfaces import ImplicitHypersurface
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def sl_surface(n: int) -> ImplicitHypersurface:
+    """SL(n) = det^{-1}(1) as a hypersurface in R^{n^2}."""
+    return ImplicitHypersurface(field=determinant_field(n), level=1.0)
 
 
 def random_trace_zero(n: int, rng) -> np.ndarray:

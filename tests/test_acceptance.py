@@ -30,7 +30,6 @@ from slcurv.slgroup import (
     spherical_image_contains,
 )
 from slcurv.surfaces import (
-    ImplicitHypersurface,
     curvature_report,
     fd_hessian_oracle,
     second_fundamental_form,
@@ -38,16 +37,12 @@ from slcurv.surfaces import (
     weingarten_apply,
 )
 
-from conftest import random_trace_zero
+from conftest import random_trace_zero, sl_surface
 
 
 def gate(name: str, ok: bool, detail: str):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def sl_surface(n):
-    return ImplicitHypersurface(field=determinant_field(n), level=1.0)
 
 
 def test_criterion_1_weingarten_operator():

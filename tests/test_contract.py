@@ -20,6 +20,7 @@ from slcurv import (
     sphere_field,
 )
 from slcurv.autodiff import ipow
+from slcurv.fields import ExpressionTree, Pow, Var
 
 INPUTS = {
     "0x0": np.zeros((0, 0)),
@@ -255,6 +256,9 @@ CALLS = [
     ("ipow-float", ipow, (2.0, 2.0), R),
     ("ipow-str", ipow, (2.0, "2"), R),
     ("ipow-None", ipow, (2.0, None), R),
+    # a tree built by hand is gated as the parser gates its text
+    ("tree-pow-minus-1", ExpressionTree(Pow(Var(0), -1), 1).evaluate, ([3.0],), re.compile(r"^exponent .*, got -1$")),
+    ("tree-pow-2.5", ExpressionTree(Pow(Var(0), 2.5), 1).evaluate, ([3.0],), re.compile(r"^exponent .*, got 2\.5$")),
 ]
 
 

@@ -6,8 +6,10 @@ import pytest
 
 from slcurv.fields import determinant_field
 from slcurv.linalg import (
+    _FLOAT_MAX,
     NonSymmetricMatrixError,
     SingularMatrixError,
+    _scaled_back,
     cluster_multiplicities,
     complement_basis,
     det_inverse,
@@ -379,6 +381,19 @@ class TestJacobiEigh:
             values = jacobi_eigh(np.full((2, 2), 1e308)).values
         assert values[0] == np.inf
         assert np.isfinite(values[1])
+
+
+def test_scaled_back_fails_exactly_past_the_float_maximum():
+    # with max|x| = m 2^k, m in [0.5, 1), x 2^e is finite iff k + e <= 1024; a zero never
+    # overflows, and a result below the normals rounds, without an error or a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = _scaled_back(np.array([1.0 - EPS / 2.0, -0.5]), 1024, OverflowError, "")
+        assert top.tolist() == [_FLOAT_MAX, -(2.0**1023)]
+        with pytest.raises(OverflowError, match="^out of range$"):
+            _scaled_back(np.array([0.25, -1.0]), 1024, OverflowError, "out of range")
+        assert _scaled_back(np.zeros(2), 5000, OverflowError, "").tolist() == [0.0, 0.0]
+        assert _scaled_back(0.75, -1074, OverflowError, "") == 2.0**-1074
 
 
 class TestClusterMultiplicities:

@@ -8,7 +8,7 @@ import pytest
 import slcurv.surfaces
 from slcurv.autodiff import gradient, hessian
 from slcurv.cli import run_verify_sl
-from slcurv.fields import determinant_field, expression_field, quadric_field, sphere_field
+from slcurv.fields import ScalarField, determinant_field, expression_field, quadric_field, sphere_field
 from slcurv.linalg import _pow2_scaled, complement_basis, frobenius_norm, jacobi_eigh
 from slcurv.slgroup import gauss_map, principal_curvatures_identity, random_sl, random_special_orthogonal
 from slcurv.surfaces import (
@@ -24,11 +24,7 @@ from slcurv.surfaces import (
     weingarten_matrix,
 )
 
-from conftest import random_trace_zero
-
-
-def sl_surface(n):
-    return ImplicitHypersurface(field=determinant_field(n), level=1.0)
+from conftest import random_trace_zero, sl_surface
 
 
 def basis_matrix(n, i, j):
@@ -320,11 +316,21 @@ class TestCurvatureReport:
         assert report.gauss_kronecker == pytest.approx(-1.0 / 81.0, rel=1e-9)
         assert report.mean == pytest.approx(1.0 / (4.0 * np.sqrt(3.0)), rel=1e-12)
 
-    @pytest.mark.parametrize("cluster_tol", [float("nan"), -1.0])
+    @pytest.mark.parametrize("cluster_tol", [float("nan"), -1.0, True])
     def test_nan_or_negative_cluster_tol(self, cluster_tol):
-        # nan would put all eight SL(3) values in one cluster, -1 each in its own
-        with pytest.raises(ValueError, match="cluster_tol"):
-            curvature_report(sl_surface(3), np.eye(3).ravel(), cluster_tol=cluster_tol)
+        # nan would put all eight SL(3) values in one cluster, -1 each in its own. The gate
+        # runs on entry, so the field is never evaluated, on the surface or off it
+        calls = []
+
+        def body(a):
+            calls.append(1)
+            return a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+
+        surface = ImplicitHypersurface(field=ScalarField(3, body), level=4.0)
+        for point in ([2.0, 0.0, 0.0], [3.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="^cluster_tol must be a real number"):
+                curvature_report(surface, point, cluster_tol=cluster_tol)
+        assert calls == []
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_plane_written_as_square_plus_linear_is_flat(self, n):
@@ -379,6 +385,18 @@ class TestCurvatureReport:
         kappa = -1e20 / 1.7e308 / math.sqrt(2.0)
         assert report.curvatures == [(pytest.approx(kappa, rel=1e-14, abs=0.0), 1)]
         assert report.gauss_kronecker == pytest.approx(kappa, rel=1e-14, abs=0.0)
+
+    def test_weingarten_keeps_entries_far_below_the_largest(self):
+        # W = diag(2e-300, 0, 2e300) in the frame's basis. The eigenvalues come from W scaled
+        # to unit, where 2e-300 is lost below the subnormals; W itself keeps it
+        field = ScalarField(4, lambda a: a[3] - 1e300 * a[0] ** 2 - 1e-300 * a[1] ** 2)
+        surface = ImplicitHypersurface(field=field, level=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = curvature_report(surface, np.zeros(4))
+            w, _ = weingarten_matrix(surface, np.zeros(4))
+        assert report.weingarten[0, 0] == w[0, 0] == 2e-300
+        assert report.eigenvalues.tolist() == [2e300, 0.0, 0.0]
 
     def test_sphere(self):
         surface = ImplicitHypersurface(field=sphere_field(3), level=4.0)

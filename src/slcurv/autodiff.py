@@ -13,8 +13,8 @@ HyperDual's float operations in its order, so its gradient and Hessian are
 bitwise those of the HyperDual pass, up to the payload of a NaN (numpy's
 SIMD loops pick which operand's NaN to return by position in the array).
 HyperDual is the public scalar type and the oracle. A field's body may carry a
-_jet_recipe (determinant_field's walks the body's own minor table), which _jet
-runs in place of the ring; it too must match the HyperDual pass bitwise.
+_jet_recipe (determinant_field's, for 3 <= n <= 6, walks the body's own minor table),
+which _jet runs in place of the ring; it too must match the HyperDual pass bitwise.
 """
 
 from __future__ import annotations

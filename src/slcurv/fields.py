@@ -6,9 +6,10 @@ any of the supported scalar rings. Built-ins cover the determinant of the
 row-major-flattened n x n argument and diagonal quadrics; everything else
 comes from parsed expression text.
 
-One minor table drives the determinant field: its body walks the table over any ring
-and carries, as _jet_recipe, the walk over float arrays one level of minors at a time,
-bitwise equal to the generic HyperDual pass, so a field built on that body keeps it.
+One minor table drives the determinant field: its body walks the table over any ring.
+For 3 <= n <= 6 the body also carries, as _jet_recipe, the walk over float arrays one
+whole level of minors at a time, bitwise equal to the generic HyperDual pass, so a field
+built on that body keeps it; other sizes take their jets from the generic ring.
 """
 
 from __future__ import annotations
@@ -86,25 +87,14 @@ def _cofactor_det(a: Sequence, n: int, levels) -> object:
     return minors[0]
 
 
-# A chunk of terms holds at most this many float64 d12 entries (256 KiB), so that a
-# chunk and its outer-product temporary stay in a core's L2 cache. Measured on a
-# 2-vCPU Xeon with 2 MiB of L2 per core, best of 31: a bound of 2^17 ran the n = 6..8
-# jets 4-8% slower than term by term, and 2^15 no slower. Every level up to n = 5 is
-# one chunk under either bound, which halves the n = 3 jet.
-_CHUNK_ENTRIES = 2**15
-
-
 def _det_jet(n: int, tables, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(gradient, upper Hessian) of the n x n determinant at p: _cofactor_det over the
     seeds HyperDual(p[k], e_k, e_k, 0), one level of minors at a time.
 
     A level holds each minor's value (C,), d1 (C, N) and d12 (C, N, N); d2 equals d1
-    bitwise, so it is not stored. Its terms run in chunks with a leading term axis,
-    (g, C, ...), each chunk in one numpy pass of HyperDual.__mul__'s float operations
-    in its order, x D + e_k v and ((x H + e_k (x) D) + D (x) e_k) + 0 v. A chunk holds
-    g = max(1, _CHUNK_ENTRIES // (C N^2)) terms, so every level is one chunk for
-    n <= 5, where numpy calls rather than arithmetic bound the jet, and the largest
-    levels at n = 6..8 run term by term. The terms are then
+    bitwise, so it is not stored. All terms of a level run at once along a leading term
+    axis, (terms, C, ...), in one numpy pass of HyperDual.__mul__'s float operations in
+    its order, x D + e_k v and ((x H + e_k (x) D) + D (x) e_k) + 0 v. The terms are then
     folded in _cofactor_det's order, each with its own np.subtract or np.add: a
     reduction over the term axis with negated odd terms would give a + (-NaN) where
     the generic pass gives a - NaN, which differ in the NaN's sign bit. So the result
@@ -113,26 +103,21 @@ def _det_jet(n: int, tables, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eye = np.eye(p.size)
     last = np.arange(p.size - n, p.size)
     v, d1, d12 = p[last], eye[last], np.zeros((n, p.size, p.size))
-    for seeds, belows in tables:
-        size = max(1, _CHUNK_ENTRIES // (seeds.shape[1] * p.size**2))
-        for start in range(0, len(seeds), size):
-            k, b = seeds[start : start + size], belows[start : start + size]
-            # gathered copies, so every step below can run in place
-            x, e, tv, td1, td12 = p[k], eye[k], v[b], d1[b], d12[b]
-            np.multiply(x[..., None, None], td12, out=td12)
-            td12 += e[..., :, None] * td1[..., None, :]
-            td12 += td1[..., :, None] * e[..., None, :]
-            td12 += (0.0 * tv)[..., None, None]
-            np.multiply(x[..., None], td1, out=td1)
-            td1 += e * tv[..., None]
-            np.multiply(x, tv, out=tv)
-            for j, term in enumerate(zip(tv, td1, td12), start):
-                if j == 0:
-                    acc = term
-                else:
-                    sign = np.add if j % 2 == 0 else np.subtract
-                    for a, t in zip(acc, term):
-                        sign(a, t, out=a)
+    for k, b in tables:
+        # gathered copies, so every step below can run in place
+        x, e, tv, td1, td12 = p[k], eye[k], v[b], d1[b], d12[b]
+        np.multiply(x[..., None, None], td12, out=td12)
+        td12 += e[..., :, None] * td1[..., None, :]
+        td12 += td1[..., :, None] * e[..., None, :]
+        td12 += (0.0 * tv)[..., None, None]
+        np.multiply(x[..., None], td1, out=td1)
+        td1 += e * tv[..., None]
+        np.multiply(x, tv, out=tv)
+        acc = tv[0], td1[0], td12[0]
+        for j, term in enumerate(zip(tv[1:], td1[1:], td12[1:]), 1):
+            sign = np.add if j % 2 == 0 else np.subtract
+            for a, t in zip(acc, term):
+                sign(a, t, out=a)
         v, d1, d12 = acc
     return d1[0], d12[0]
 
@@ -140,8 +125,9 @@ def _det_jet(n: int, tables, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def determinant_field(n: int) -> ScalarField:
     """Determinant of the row-major-flattened n x n argument, 1 <= n <= 8.
 
-    The body walks _minor_tables(n) and carries _det_jet over the same tables as its
-    _jet_recipe, which autodiff._jet runs in place of the bitwise-equal generic pass.
+    The body walks _minor_tables(n). For 3 <= n <= 6 it carries _det_jet over the same
+    tables as its _jet_recipe, which autodiff._jet runs in place of the bitwise-equal
+    generic pass; at every other size autodiff._jet runs the body on its ring.
     """
     n = _as_integer(n, 1, 8, "determinant_field n")
     tables = _minor_tables(n)
@@ -154,7 +140,8 @@ def determinant_field(n: int) -> ScalarField:
     def body(a):
         return _cofactor_det(a, n, levels)
 
-    body._jet_recipe = lambda p: _det_jet(n, tables, p)
+    if 3 <= n <= 6:  # the ring's jet was faster at n = 2, 7 and 8, by 20-45% on a 2-vCPU Xeon
+        body._jet_recipe = lambda p: _det_jet(n, tables, p)
     return ScalarField(arity=n * n, body=body, name=f"det{n}")
 
 

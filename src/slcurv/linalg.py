@@ -300,7 +300,8 @@ def cluster_multiplicities(values, cluster_tol: float = 1e-6) -> list[tuple[floa
     """Greedy left-to-right clustering of a descending value sequence.
 
     A value joins the open cluster iff it lies within cluster_tol of the
-    cluster's first element; each cluster reports its mean and size.
+    cluster's first element; each cluster reports its mean and size. A cluster
+    holding inf and -inf (cluster_tol = inf only) has no mean: a ValueError.
     """
     _as_real(cluster_tol, 0.0, math.inf, "cluster_tol")
     values = np.asarray(values, dtype=float)
@@ -308,6 +309,8 @@ def cluster_multiplicities(values, cluster_tol: float = 1e-6) -> list[tuple[floa
         raise ValueError("cluster_multiplicities expects a vector of values")
     if np.any(np.isnan(values)) or np.any(values[1:] > values[:-1]):
         raise ValueError("values must be sorted in descending order, with no NaN")
+    if cluster_tol == math.inf and np.inf in values and -np.inf in values:
+        raise ValueError("an infinite cluster_tol puts inf and -inf in one cluster, which has no mean")
     return _clusters(values, cluster_tol)
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +91,19 @@ class TestVerifySL:
             worst = max(worst, float(np.max(np.abs(gauss_map(gauss_map_preimage(u)) - u))))
         (row,) = [c for c in checks if c["name"] == "gauss_map_roundtrip"]
         assert row["residual"] == worst
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_operator_identity_fails_for_an_untransposed_weingarten(self, monkeypatch, n):
+        # a shape operator that maps H to H / sqrt(n) agrees with the closed form
+        # H^t / sqrt(n) on symmetric directions only, so the check needs asymmetric ones
+        def untransposed(*args):
+            report = curvature_report(*args)
+            return dataclasses.replace(report, weingarten=np.eye(n * n - 1) / math.sqrt(n))
+
+        monkeypatch.setattr(slcurv.cli, "curvature_report", untransposed)
+        checks, _ = run_verify_sl(n, 1e-12, 0)
+        (row,) = [c for c in checks if c["name"] == "weingarten_operator_identity"]
+        assert not row["passed"]
 
     def test_deterministic_given_seed(self, capsys):
         main(["verify-sl", "--n", "2", "--seed", "123", "--json"])

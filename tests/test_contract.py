@@ -190,6 +190,8 @@ CALLS = [
     # a NaN has no place in a descending order
     ("cluster-nan-first", "cluster_multiplicities", ([NAN, 1.0],), R),
     ("cluster-nan-last", "cluster_multiplicities", ([1.0, NAN],), R),
+    # an infinite cluster_tol makes one cluster, which has no mean if it holds inf and -inf
+    ("cluster-tol-inf-both-infinities", "cluster_multiplicities", ([INF, 1.0, -INF], INF), re.compile(r"inf and -inf")),
     ("weingarten-nan", "weingarten_apply", (SURFACE, E1, [0.0, NAN, 0.0]), R),
     ("weingarten-inf", "weingarten_apply", (SURFACE, E1, [0.0, INF, 0.0]), R),
     ("weingarten-minus-inf", "weingarten_apply", (SURFACE, E1, [0.0, -INF, 0.0]), R),
